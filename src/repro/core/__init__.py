@@ -7,7 +7,7 @@ Modules mirror the paper's architecture (Fig. 2):
 * :mod:`repro.core.boundaries` — data boundaries / regions (§IV-A1).
 * :mod:`repro.core.leverage` — leverages, probabilities, Theorem 3 (§IV).
 * :mod:`repro.core.moments` — Phase 1 sampling job (Algorithm 1, §VI-A).
-* :mod:`repro.core.iteration` — Phase 2 modulation loop (Algorithm 2, §V/§VI-B).
+* :mod:`repro.core.iteration` — Phase 2 modulation, closed form (Algorithm 2, §V/§VI-B).
 * :mod:`repro.core.isla` — end-to-end driver + Summarization module (§II-C).
 """
 

@@ -82,10 +82,6 @@ class DataBoundaries:
             return Region.L
         return Region.TL
 
-    def shifted(self, d: float) -> "DataBoundaries":
-        """Boundaries after translating the data by +d (footnote 1)."""
-        return DataBoundaries(self.sketch0 + d, self.sigma, self.p1, self.p2)
-
 
 def region_column(
     value: Column,

@@ -1,12 +1,14 @@
 """ISLA parameters (Table I) and confidence-interval math (§III-A).
 
 Defaults follow §VIII "Parameters" where the paper gives values
-(e=0.1, β=0.95, λ=0.8, p1=0.5, p2=2.0, η=0.5, q′ bands) and DESIGN.md §2
-where it does not (t_e, thr, pilot size, the Case-5 band).
+(e=0.1, β=0.95, λ=0.8, p1=0.5, p2=2.0, η=0.5) and DESIGN.md §2 where it
+does not (t_e, thr, pilot size, the Case-5 band). The §VIII q′ bands feed
+no answer; they live beside the explicit leverage path in
+:mod:`repro.core.leverage`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 
@@ -51,16 +53,11 @@ class ISLAConfig:
         §VIII-G uses 1000.
     dev_case5 : band of dev=|S|/|L| treated as |S| ≈ |L| → return sketch0
         (Case 5). The paper suggests "(0.99, 1.01)".
-    dev_q1 : band with no obvious sketch0 deviation → q = 1.
-    dev_q5 : band where q′ = 5 (§VIII: (0.94,0.97) ∪ (1.03,1.06));
-        outside dev_q1 ∪ dev_q5, q′ = 10.
     clamp_to_sketch_ci : clamp each partial answer to
         ``sketch0 ± t_e·e`` — the §VII-B modulation boundary.
     case3_literal : use the literal §V-C Case-3 reading (both estimators
         move up, extrapolating past the leader). Off by default; see
         DESIGN.md §2.
-    max_iters : hard iteration cap (safety; the analytic bound is
-        ⌈log2(|D⁰|/thr)⌉ which the defaults keep ≪ this).
     """
 
     e: float = 0.1
@@ -73,11 +70,8 @@ class ISLAConfig:
     thr: float | None = None
     pilot_n: int = 1000
     dev_case5: tuple[float, float] = (0.99, 1.01)
-    dev_q1: tuple[float, float] = (0.97, 1.03)
-    dev_q5: tuple[float, float] = (0.94, 1.06)
     clamp_to_sketch_ci: bool = True
     case3_literal: bool = False
-    max_iters: int = 64
 
     def __post_init__(self) -> None:
         if self.e <= 0:
@@ -110,27 +104,6 @@ class ISLAConfig:
     def sketch_sample_size(self, sigma: float) -> int:
         """Sample size for sketch0 at the relaxed precision t_e·e."""
         return required_sample_size(sigma, self.t_e * self.e, self.beta)
-
-    def q_prime(self, dev: float) -> float:
-        """q′ from the deviation degree per §VIII "Parameters"."""
-        lo1, hi1 = self.dev_q1
-        lo5, hi5 = self.dev_q5
-        if lo1 < dev < hi1:
-            return 1.0
-        if lo5 < dev < hi5:
-            return 5.0
-        return 10.0
-
-    def leverage_allocating_q(self, dev: float) -> float:
-        """q from dev (§IV-A4): damp the side that sketch0 over-counts.
-
-        ``|S| > |L|`` (dev > 1) → decrease the S leverage share, q = 1/q′;
-        otherwise q = q′.
-        """
-        qp = self.q_prime(dev)
-        if qp == 1.0:
-            return 1.0
-        return 1.0 / qp if dev > 1.0 else qp
 
     def with_(self, **kwargs) -> "ISLAConfig":
         """Return a copy with the given fields replaced."""

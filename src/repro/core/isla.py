@@ -3,13 +3,17 @@
 ``isla_avg`` wires the three modules of Fig. 2 together as Spark jobs:
 
 1. :func:`repro.core.pre_estimation.pre_estimate` — pilot jobs for σ̂,
-   sketch0, the Eq. (1) rate, and the positivity shift;
+   sketch0 and the Eq. (1) rate;
 2. :func:`repro.core.moments.sample_region_moments` — Phase 1 per-block
    sampling + S/L moment accumulation (Algorithm 1);
 3. :func:`repro.core.iteration.modulate_block` — Phase 2 per-block
-   iterative modulation (Algorithm 2), driver-side (the per-block state
-   is 8 floats, so this is O(b·log(|D⁰|/thr)) driver work);
+   modulation (Algorithm 2) in closed form, driver-side;
 4. Summarization (§II-C): final = Σ avg_j·|B_j| / M.
+
+The paper's footnote 1 translates negative data to be positive first.
+Every step above commutes with a translation — boundaries, c and sketch0
+move with the data, dev and the case do not change, and the partial is
+c plus a multiple of ``c − sketch0`` — so the answer needs no shift.
 
 Modes:
 
@@ -39,7 +43,7 @@ class ISLAResult:
     answer: float
     sketch0: float
     pre: PreEstimate = field(repr=False)
-    blocks: dict = field(repr=False)  # {block: BlockAnswer} (unshifted partials)
+    blocks: dict = field(repr=False)  # {block: BlockAnswer}
     rate_used: float
     config: ISLAConfig = field(repr=False)
 
@@ -96,43 +100,32 @@ def isla_avg(
         pre = pre_estimate(
             df, value_col, block_col, cfg, block_sizes=block_sizes, seed=seed
         )
-    shift = pre.shift
 
-    # Boundaries live in the shifted (all-positive) domain; in iid mode
-    # every block shares the global sketch0/σ̂, in non-iid mode each
-    # block gets its own (§VII-C "different data boundaries").
+    # In iid mode every block shares the global sketch0/σ̂, in non-iid
+    # mode each block gets its own (§VII-C "different data boundaries").
     if non_iid:
         bounds = {
             b: DataBoundaries(
-                pre.sketch_by_block[b] + shift,
-                pre.sigma_by_block[b],
-                cfg.p1,
-                cfg.p2,
+                pre.sketch_by_block[b], pre.sigma_by_block[b], cfg.p1, cfg.p2
             )
             for b in pre.block_sizes
         }
-        sketch_for = {b: pre.sketch_by_block[b] + shift for b in pre.block_sizes}
+        sketch_for = {b: pre.sketch_by_block[b] for b in pre.block_sizes}
         fractions = pre.blev_fractions(rate_factor)
     else:
-        g = DataBoundaries(pre.sketch0 + shift, pre.sigma, cfg.p1, cfg.p2)
+        g = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
         bounds = {b: g for b in pre.block_sizes}
-        sketch_for = {b: pre.sketch0 + shift for b in pre.block_sizes}
+        sketch_for = {b: pre.sketch0 for b in pre.block_sizes}
         fractions = pre.uniform_fractions(pre.rate * rate_factor)
 
     moments = sample_region_moments(
-        df, value_col, block_col, fractions, bounds, shift=shift, seed=seed + 2
+        df, value_col, block_col, fractions, bounds, seed=seed + 2
     )
 
     blocks: dict[object, BlockAnswer] = {}
     for b in pre.block_sizes:
         m_s, m_l = moments.get(b, (RegionMoments.empty(), RegionMoments.empty()))
-        ans = modulate_block(m_s, m_l, sketch_for[b], cfg)
-        # Translate the partial back to the original domain (footnote 1).
-        blocks[b] = BlockAnswer(
-            ans.partial - shift, ans.case, ans.alpha, ans.q, ans.dev,
-            ans.u, ans.v, ans.k, ans.c - shift if ans.c else ans.c,
-            ans.d0, ans.iters, ans.clamped,
-        )
+        blocks[b] = modulate_block(m_s, m_l, sketch_for[b], cfg)
 
     answer = summarize({b: a.partial for b, a in blocks.items()}, pre.block_sizes)
     return ISLAResult(

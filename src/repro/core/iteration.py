@@ -1,36 +1,37 @@
-"""Phase 2 — deviation evaluation and iterative modulation (§V, Alg. 2).
+"""Phase 2 — deviation evaluation and modulation (§V, Alg. 2), in closed form.
 
 Per block, given param_S/param_L and sketch0:
 
 1. **Case 5** — ``dev = |S|/|L| ≈ 1``: sketch0 is already the data
    division optimum, return it (Alg. 2 lines 1–4).
-2. Choose q from dev (§IV-A4), build ``D = kα + c − sketch`` (Thm. 3),
+2. ``D⁰ = c − sketch0`` with c the uniform S∪L mean (Theorem 3's f(0));
    classify into Cases 1–4 from ``sign(D⁰)`` and ``|S| vs |L|`` (§V-B/C).
-3. Iterate: |D| shrinks by η per round; the two estimators take steps in
-   the ratio λ per the case's strategy, until |D| ≤ thr. The block
-   answer is ``avg = kα + c`` (Alg. 2 line 12).
+3. Algorithm 2 then shrinks |D| by η per round, the two estimators
+   taking steps in the ratio λ per the case's strategy, until |D| ≤ thr.
+   After n rounds the steps sum to ``|D⁰|·g`` with ``g = 1 − ηⁿ``, so the
+   block answer is stated directly:
 
-Step geometry (see DESIGN.md §2 for the interpretive choices):
+   * Cases 2/3 (consistent indicators, the common path): the estimators
+     move toward each other, the l-estimator taking the λ-shorter step:
+     ``c − D⁰·g·λ/(1+λ)``, which tends to ``(c + λ·sketch0)/(1 + λ)``.
+   * Cases 1/4 (unbalanced sampling, rare): both move the same way, the
+     l-estimator taking the λ-longer step past sketch0 toward μ
+     (Theorem 1's second picture): ``c − D⁰·g/(1−λ)``.
+   * ``case3_literal=True`` reproduces §V-C Case 3 verbatim (both up,
+     ``kδα = λ·δsketch``): ``c + D⁰·g·λ/(1−λ)``, past c by λ/(1−λ)× the gap.
 
-* Cases 2/3 (consistent indicators, the common path): the estimators
-  move toward each other; the l-estimator — believed closer to μ — takes
-  the λ-shorter step. They meet at ``(c + λ·sketch0)/(1 + λ)``.
-* Cases 1/4 (unbalanced sampling, rare): both move in the same
-  direction, the l-estimator farther from μ taking the λ-longer step,
-  extrapolating past sketch0 toward μ (Theorem 1's second picture).
-* ``case3_literal=True`` reproduces §V-C Case 3 verbatim (both up,
-  ``kδα = λ·δsketch``), which extrapolates past c by λ/(1−λ)× the gap.
-
-Answers are optionally clamped to the sketch confidence interval
-``sketch0 ± t_e·e`` — the modulation boundary of §VII-B.
+The answer never reads Theorem 3's k, the leverage allocating parameter
+q or α; those stay in :mod:`repro.core.leverage` as paper-fidelity
+diagnostics (DESIGN.md §2). Answers are optionally clamped to the sketch
+confidence interval ``sketch0 ± t_e·e`` — the modulation boundary of
+§VII-B.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import ISLAConfig
-from repro.core.leverage import theorem3_kc
 from repro.core.moments import RegionMoments
 
 
@@ -40,12 +41,9 @@ class BlockAnswer:
 
     partial: float
     case: int
-    alpha: float
-    q: float
     dev: float
     u: int
     v: int
-    k: float
     c: float
     d0: float
     iters: int
@@ -60,10 +58,19 @@ def classify_case(d0: float, u: int, v: int) -> int:
 
 
 def iteration_upper_bound(d0: float, thr: float, eta: float = 0.5) -> int:
-    """§VI-B bound: t = ⌈log_{1/η}(|D⁰|/thr)⌉ iterations to |D| ≤ thr."""
-    if abs(d0) <= thr:
-        return 0
-    return math.ceil(math.log(abs(d0) / thr) / math.log(1.0 / eta))
+    """§VI-B: the number of rounds n until ``|D⁰|·ηⁿ ≤ thr``.
+
+    The paper's ``⌈log_{1/η}(|D⁰|/thr)⌉`` rounds up one too many at exact
+    powers of 1/η (|D⁰| = thr·2²⁹ gives 30), so the count follows |D| as
+    Algorithm 2 shrinks it.
+    """
+    if not math.isfinite(d0):
+        raise ValueError(f"D⁰ must be finite, got {d0}")
+    d, n = abs(d0), 0
+    while d > thr:
+        d *= eta
+        n += 1
+    return n
 
 
 def _answer(
@@ -72,69 +79,34 @@ def _answer(
     sketch0: float,
     cfg: ISLAConfig,
 ) -> BlockAnswer:
-    """Run Algorithm 2 on one block (unclamped)."""
+    """Algorithm 2 on one block (unclamped)."""
     u, v = m_s.n, m_l.n
     if u == 0 or v == 0:
         # One side of the distribution produced no samples — the data
         # boundaries give no dev signal; fall back to the sketch.
-        return BlockAnswer(sketch0, 5, 0.0, 1.0, math.inf if v == 0 else 0.0,
-                           u, v, 0.0, 0.0, 0.0, 0, False)
+        return BlockAnswer(sketch0, 5, math.inf if v == 0 else 0.0,
+                           u, v, 0.0, 0.0, 0, False)
     dev = u / v
     lo, hi = cfg.dev_case5
     if lo < dev < hi:
-        return BlockAnswer(sketch0, 5, 0.0, 1.0, dev, u, v, 0.0, 0.0, 0.0, 0, False)
+        return BlockAnswer(sketch0, 5, dev, u, v, 0.0, 0.0, 0, False)
 
-    q = cfg.leverage_allocating_q(dev)
-    k, c = theorem3_kc(m_s, m_l, q)
+    c = (m_s.s1 + m_l.s1) / (u + v)
     d0 = c - sketch0
     if d0 == 0.0:
-        return BlockAnswer(c, 5, 0.0, q, dev, u, v, k, c, 0.0, 0, False)
+        return BlockAnswer(c, 5, dev, u, v, c, 0.0, 0, False)
     case = classify_case(d0, u, v)
 
-    d = d0
-    sketch = sketch0
-    t = 0.0  # t = k·α, the leverage modulation of the l-estimator
-    thr = cfg.threshold
-    lam, eta = cfg.lam, cfg.eta
-    iters = 0
-    while abs(d) > thr and iters < cfg.max_iters:
-        delta = (1.0 - eta) * abs(d)  # |D| closes by this much this round
-        if case == 2:
-            # c, μ < sketch0: μ̂ up slightly (λ share), sketch down.
-            ds = delta / (1.0 + lam)
-            dt = lam * ds
-            sketch -= ds
-            t += dt
-        elif case == 3:
-            if cfg.case3_literal:
-                # §V-C verbatim: both increase, kδα = λ·δsketch.
-                ds = delta / (1.0 - lam)
-                dt = lam * ds
-                sketch += ds
-                t += dt
-            else:
-                # Symmetric to Case 2: sketch up, μ̂ down slightly.
-                ds = delta / (1.0 + lam)
-                dt = lam * ds
-                sketch += ds
-                t -= dt
-        elif case == 1:
-            # Unbalanced sampling, c < sketch0 < μ: both up, μ̂ more.
-            dt = delta / (1.0 - lam)
-            ds = lam * dt
-            sketch += ds
-            t += dt
-        else:  # case 4: c > sketch0 > μ: both down, μ̂ more (α negative).
-            dt = delta / (1.0 - lam)
-            ds = lam * dt
-            sketch -= ds
-            t -= dt
-        d *= eta
-        iters += 1
-
-    avg = c + t
-    alpha = t / k if k != 0.0 else 0.0
-    return BlockAnswer(avg, case, alpha, q, dev, u, v, k, c, d0, iters, False)
+    lam = cfg.lam
+    iters = iteration_upper_bound(d0, cfg.threshold, cfg.eta)
+    g = 1.0 - cfg.eta**iters
+    if case in (1, 4):
+        partial = c - d0 * g / (1.0 - lam)
+    elif case == 3 and cfg.case3_literal:
+        partial = c + d0 * g * lam / (1.0 - lam)
+    else:
+        partial = c - d0 * g * lam / (1.0 + lam)
+    return BlockAnswer(partial, case, dev, u, v, c, d0, iters, False)
 
 
 def modulate_block(
@@ -150,9 +122,5 @@ def modulate_block(
     radius = cfg.t_e * cfg.e
     lo, hi = sketch0 - radius, sketch0 + radius
     if ans.partial < lo or ans.partial > hi:
-        clamped = min(max(ans.partial, lo), hi)
-        return BlockAnswer(
-            clamped, ans.case, ans.alpha, ans.q, ans.dev, ans.u, ans.v,
-            ans.k, ans.c, ans.d0, ans.iters, True,
-        )
+        return replace(ans, partial=min(max(ans.partial, lo), hi), clamped=True)
     return ans

@@ -1,14 +1,18 @@
 """Leverages, re-weighted probabilities, and Theorem 3 (§IV, appendix A).
 
+This is the paper-fidelity path; no ISLA answer reads it. Phase 2's
+block answer depends only on Theorem 3's ``c`` (the uniform S∪L mean),
+so :mod:`repro.core.iteration` computes that directly (DESIGN.md §2).
 Two equivalent computation paths are provided:
 
 * an *explicit* per-sample path (original leverages → normalisation
-  factors → normalised leverages → probabilities → l-estimator), used by
-  tests — it reproduces the paper's Table II worked example exactly; and
+  factors → normalised leverages → probabilities → l-estimator) — it
+  reproduces the paper's Table II worked example exactly — with the
+  §VIII q′ bands that choose the leverage allocating parameter q; and
 * the *streaming-moments* path of Theorem 3, which computes the affine
   coefficients ``μ̂ = f(α) = kα + c`` purely from
-  ``(count, Σx, Σx², Σx³)`` of the S and L samples. This is what the
-  distributed job uses: no sample storage, order-insensitive.
+  ``(count, Σx, Σx², Σx³)`` of the S and L samples: no sample storage,
+  order-insensitive.
 
 Notation: X = S samples (size u), Y = L samples (size v),
 T = Σx² + Σy², q = leverage allocating parameter.
@@ -18,6 +22,32 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.moments import RegionMoments
+
+#: §VIII "Parameters": q′ = 1 for dev = |S|/|L| inside DEV_Q1 (no obvious
+#: sketch0 deviation), q′ = 5 inside DEV_Q5, q′ = 10 outside both.
+DEV_Q1 = (0.97, 1.03)
+DEV_Q5 = (0.94, 1.06)
+
+
+def q_prime(dev: float) -> float:
+    """q′ from the deviation degree per §VIII "Parameters"."""
+    if DEV_Q1[0] < dev < DEV_Q1[1]:
+        return 1.0
+    if DEV_Q5[0] < dev < DEV_Q5[1]:
+        return 5.0
+    return 10.0
+
+
+def leverage_allocating_q(dev: float) -> float:
+    """q from dev (§IV-A4): damp the side that sketch0 over-counts.
+
+    ``|S| > |L|`` (dev > 1) → decrease the S leverage share, q = 1/q′;
+    otherwise q = q′.
+    """
+    qp = q_prime(dev)
+    if qp == 1.0:
+        return 1.0
+    return 1.0 / qp if dev > 1.0 else qp
 
 
 def deviation_factors(values: Sequence[float]) -> list[float]:
@@ -101,8 +131,8 @@ def l_estimator(
 ) -> float:
     """Brute-force leverage-based answer μ̂ = Σ prob·a (appendix A step 5).
 
-    Reference implementation for tests; the production path is
-    :func:`theorem3_kc` (must agree to float precision for every input).
+    Reference implementation for tests; :func:`theorem3_kc` must agree
+    with it to float precision for every input.
     """
     lev_x, lev_y = normalized_leverages(xs, ys, q)
     m = len(xs) + len(ys)
@@ -114,9 +144,16 @@ def l_estimator(
 
 
 def theorem3_kc(
-    m_s: RegionMoments, m_l: RegionMoments, q: float = 1.0
+    m_s: RegionMoments,
+    m_l: RegionMoments,
+    sx3: float,
+    sy3: float,
+    q: float = 1.0,
 ) -> tuple[float, float]:
     """Theorem 3: μ̂ = f(α) = kα + c from streaming S/L moments.
+
+    ``sx3``/``sy3`` are the cube sums Σx³/Σy³ of the S/L samples, which
+    only k needs (the Spark job does not gather them).
 
     ``c = (Σx + Σy)/(u + v)`` (the uniform S∪L mean — the theorem-body
     form; the appendix's inverted fraction is a typo, see DESIGN.md §2)
@@ -125,8 +162,8 @@ def theorem3_kc(
     ``k = (TΣx − Σx³)/((1 + v/(qu))(uT − Σx²))
         + vΣy³/((qu + v)Σy²) − c``,  T = Σx² + Σy².
     """
-    u, sx, sx2, sx3 = m_s.n, m_s.s1, m_s.s2, m_s.s3
-    v, sy, sy2, sy3 = m_l.n, m_l.s1, m_l.s2, m_l.s3
+    u, sx, sx2 = m_s.n, m_s.s1, m_s.s2
+    v, sy, sy2 = m_l.n, m_l.s1, m_l.s2
     if u <= 0 or v <= 0:
         raise ValueError("Theorem 3 needs non-empty S and L regions")
     if q <= 0:

@@ -1,17 +1,21 @@
 """Phase 1 — the sampling job (Algorithm 1, §VI-A) as a Spark DataFrame job.
 
-Per block, ISLA records only ``param_S``/``param_L`` =
-(counter, sum, squareSum, cubeSum) of the samples falling in the S/L
-regions; everything else is dropped. In Spark this is:
+Per block, ISLA records only ``param_S``/``param_L`` = (counter, sum,
+squareSum) of the samples falling in the S/L regions; everything else is
+dropped. In Spark this is:
 
     sampleBy(block)                       # per-block Bernoulli sampling
       → region tag from the (joined) boundary columns
       → filter(region ∈ {S, L})
-      → groupBy(block, region).agg(count, Σx, Σx², Σx³)
+      → groupBy(block, region).agg(count, Σx, Σx²)
 
 which is exactly the streaming update loop of Algorithm 1, executed by
 Catalyst with partial aggregation (the "no sample storage" property is
-preserved: the shuffle carries 4 numbers per (block, region)).
+preserved: the shuffle carries 3 numbers per (block, region)).
+Algorithm 1 also keeps the cube sum, which only Theorem 3's k reads; no
+answer depends on k (DESIGN.md §2), so the job leaves it out. The answer
+reads only count and Σx; Σx² stays because a confidence interval from
+the gathered moments needs it.
 
 Per-block boundary columns come from a broadcast-joined bounds table so
 that the §VII-C non-iid extension (different boundaries per block) uses
@@ -30,27 +34,25 @@ from repro.core.boundaries import DataBoundaries, Region, region_column
 
 @dataclass(frozen=True)
 class RegionMoments:
-    """param_S / param_L: counter, sum, square sum, cube sum."""
+    """param_S / param_L: counter, sum, square sum."""
 
     n: int
     s1: float
     s2: float
-    s3: float
 
     @staticmethod
     def empty() -> "RegionMoments":
-        return RegionMoments(0, 0.0, 0.0, 0.0)
+        return RegionMoments(0, 0.0, 0.0)
 
     @staticmethod
     def from_values(values: Iterable[float]) -> "RegionMoments":
         """Driver-side accumulation (the updateParams loop of Alg. 1)."""
-        n, s1, s2, s3 = 0, 0.0, 0.0, 0.0
+        n, s1, s2 = 0, 0.0, 0.0
         for a in values:
             n += 1
             s1 += a
             s2 += a * a
-            s3 += a * a * a
-        return RegionMoments(n, s1, s2, s3)
+        return RegionMoments(n, s1, s2)
 
     def merge(self, other: "RegionMoments") -> "RegionMoments":
         """Combine two partial records (online-mode extension, §VII-A)."""
@@ -58,14 +60,11 @@ class RegionMoments:
             self.n + other.n,
             self.s1 + other.s1,
             self.s2 + other.s2,
-            self.s3 + other.s3,
         )
 
     def add(self, a: float) -> "RegionMoments":
         """updateParams(a, param): streaming single-sample update."""
-        return RegionMoments(
-            self.n + 1, self.s1 + a, self.s2 + a * a, self.s3 + a * a * a
-        )
+        return RegionMoments(self.n + 1, self.s1 + a, self.s2 + a * a)
 
     @property
     def mean(self) -> float:
@@ -104,7 +103,6 @@ def sample_region_moments(
     fractions: Mapping[object, float],
     bounds_by_block: Mapping[object, DataBoundaries],
     *,
-    shift: float = 0.0,
     seed: int = 0,
 ) -> BlockMoments:
     """Run Phase 1: per-block sampling + S/L moment accumulation.
@@ -114,10 +112,7 @@ def sample_region_moments(
     fractions : per-block Bernoulli sampling fraction (``sampleBy``); the
         iid case passes the same rate for every block, the non-iid case
         passes the blev-derived rates of §VII-C.
-    bounds_by_block : per-block data boundaries in the *shifted* domain.
-    shift : translation d applied to values before classification
-        (footnote 1: make all data positive); boundaries must already be
-        expressed in the shifted domain.
+    bounds_by_block : per-block data boundaries.
 
     Returns a dict with, for every block that produced at least one S or
     L sample, the pair (param_S, param_L); a region with no samples is
@@ -125,7 +120,7 @@ def sample_region_moments(
     """
     clipped = {b: min(1.0, max(0.0, f)) for b, f in fractions.items()}
     sampled = df.sampleBy(block_col, clipped, seed=seed)
-    v = F.col(value_col).cast("double") + F.lit(float(shift))
+    v = F.col(value_col).cast("double")
     bounds_df = _bounds_table(df, block_col, bounds_by_block)
     tagged = (
         sampled.join(F.broadcast(bounds_df), on=block_col, how="inner")
@@ -148,7 +143,6 @@ def sample_region_moments(
             F.count("*").alias("n"),
             F.sum("__v").alias("s1"),
             F.sum(F.col("__v") ** 2).alias("s2"),
-            F.sum(F.col("__v") ** 3).alias("s3"),
         )
         .collect()
     )
@@ -156,7 +150,7 @@ def sample_region_moments(
     for r in rows:
         block = r[block_col]
         m_s, m_l = out.get(block, (RegionMoments.empty(), RegionMoments.empty()))
-        m = RegionMoments(int(r["n"]), float(r["s1"]), float(r["s2"]), float(r["s3"]))
+        m = RegionMoments(int(r["n"]), float(r["s1"]), float(r["s2"]))
         if r["__region"] == Region.S.value:
             m_s = m
         else:

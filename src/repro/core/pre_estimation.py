@@ -3,9 +3,8 @@
 Two pilot passes over small uniform samples:
 
 1. the σ-pilot (``pilot_n`` rows, proportional per block) estimates the
-   overall standard deviation σ̂ (Eq. 1 input), the per-block σ̂_j used by
-   the §VII-C non-iid extension, and the minimum used for the
-   positivity shift (footnote 1);
+   overall standard deviation σ̂ (Eq. 1 input) and the per-block σ̂_j used
+   by the §VII-C non-iid extension;
 2. the sketch-pilot, sized by Eq. (1) at the relaxed precision ``t_e·e``
    (i.e. ``m/t_e²`` rows), produces ``sketch0`` globally and per block.
 
@@ -32,7 +31,6 @@ class BlockPilot:
     n: int
     mean: float
     std: float
-    vmin: float
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,9 @@ class PreEstimate:
     m_sketch : sample size used for sketch0 (= m/t_e²).
     block_sizes : |B_j| metadata.
     M : Σ|B_j|.
-    pilot : per-block σ-pilot stats (mean/std/min).
+    pilot : per-block σ-pilot stats (count/mean/std).
     sketch_by_block : per-block sketch estimates (non-iid boundaries).
     sigma_by_block : per-block σ̂_j (non-iid boundaries and blev rates).
-    shift : translation d making all data positive (0 when already
-        positive); derived as 1 + σ̂ − min(pilot) when min(pilot) ≤ 0.
     """
 
     sigma: float
@@ -65,7 +61,6 @@ class PreEstimate:
     pilot: dict = field(repr=False)
     sketch_by_block: dict = field(repr=False)
     sigma_by_block: dict = field(repr=False)
-    shift: float
 
     def uniform_fractions(self, rate: float) -> dict:
         """The same sampling fraction for every block (iid mode)."""
@@ -101,7 +96,7 @@ def _pilot_stats(
     fraction: float,
     seed: int,
 ) -> dict:
-    """Per-block count/mean/std/min of a uniform sample at ``fraction``."""
+    """Per-block count/mean/std of a uniform sample at ``fraction``."""
     v = F.col(value_col).cast("double")
     rows = (
         df.sample(fraction=min(1.0, fraction), seed=seed)
@@ -110,7 +105,6 @@ def _pilot_stats(
             F.count("*").alias("n"),
             F.avg(v).alias("mean"),
             F.stddev_samp(v).alias("std"),
-            F.min(v).alias("vmin"),
         )
         .collect()
     )
@@ -119,7 +113,6 @@ def _pilot_stats(
             int(r["n"]),
             float(r["mean"]),
             float(r["std"]) if r["std"] is not None else 0.0,
-            float(r["vmin"]),
         )
         for r in rows
     }
@@ -187,9 +180,6 @@ def pre_estimate(
     sketch_by_block = {r[block_col]: float(r["mean"]) for r in sk_rows}
     sketch0 = _weighted({r[block_col]: (float(r["mean"]), int(r["n"])) for r in sk_rows})
 
-    vmin = min(p.vmin for p in pilot.values())
-    shift = 0.0 if vmin > 0 else 1.0 + sigma - vmin
-
     # Blocks the sketch pilot happened to miss fall back to the global
     # sketch; same for per-block σ.
     sigma_by_block = {blk: pilot[blk].std if blk in pilot else sigma for blk in sizes}
@@ -207,5 +197,4 @@ def pre_estimate(
         pilot=pilot,
         sketch_by_block=sketch_by_block,
         sigma_by_block=sigma_by_block,
-        shift=shift,
     )

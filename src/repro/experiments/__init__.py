@@ -1,8 +1,9 @@
 """Experiment runners — one module per evaluation table (DESIGN.md §5).
 
 Each ``run_*`` function takes a SparkSession plus scale knobs and
-returns a plain dict of paper-table-shaped rows; ``jobs/run_*.py`` wrap
-them for spark-submit and ``benchmarks/bench_*.py`` time them.
+returns a plain dict of paper-table-shaped rows; ``python -m
+repro.experiments`` prints them as tables and ``benchmarks/bench_*.py``
+time them.
 """
 
 from repro.experiments.table3 import run_table3

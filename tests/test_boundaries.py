@@ -81,18 +81,6 @@ class TestClassify:
     def test_every_value_gets_exactly_one_region(self, x):
         assert DEFAULT.classify(x) in set(Region)
 
-    def test_shifted_preserves_classification(self):
-        shifted = DEFAULT.shifted(37.5)
-        for x in [-5.0, 61.0, 95.0, 111.0, 150.0]:
-            assert shifted.classify(x + 37.5) == DEFAULT.classify(x)
-
-    @given(
-        st.floats(min_value=-100, max_value=300),
-        st.floats(min_value=-50, max_value=50),
-    )
-    def test_shift_invariance_property(self, x, d):
-        assert DEFAULT.shifted(d).classify(x + d) == DEFAULT.classify(x)
-
 
 class TestSparkClassifier:
     """The Spark Column classifier must agree with the Python one."""

@@ -6,6 +6,7 @@ defaults).
 """
 import pytest
 
+import repro.experiments as experiments
 from repro.experiments import (
     run_datasize,
     run_efficiency,
@@ -17,6 +18,7 @@ from repro.experiments import (
     run_table6,
     run_table7,
 )
+from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.experiments.runner import fmt_table
 
 
@@ -205,3 +207,20 @@ class TestFmtTable:
         assert lines[1] == "|---|---|"
         assert "2.3457" in lines[2]
         assert lines[3].startswith("| x |")
+
+
+class TestEntryPoint:
+    """``python -m repro.experiments``: registry and argument handling
+    (no Spark session is started)."""
+
+    def test_every_name_maps_to_an_exported_runner(self):
+        runners = {runner.__name__ for runner, _, _ in EXPERIMENTS.values()}
+        assert runners == set(experiments.__all__)
+        for runner, _, _ in EXPERIMENTS.values():
+            assert getattr(experiments, runner.__name__) is runner
+
+    @pytest.mark.parametrize("argv", [["table99"], []])
+    def test_unknown_name_exits_nonzero(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0

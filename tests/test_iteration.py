@@ -11,12 +11,16 @@ from repro.core.iteration import (
     iteration_upper_bound,
     modulate_block,
 )
-from repro.core.leverage import theorem3_kc
 from repro.core.moments import RegionMoments
 
 
 def moments_for(xs, ys):
     return RegionMoments.from_values(xs), RegionMoments.from_values(ys)
+
+
+def sl_mean(m_s, m_l):
+    """c: the uniform S∪L sample mean (Theorem 3's f(0))."""
+    return (m_s.s1 + m_l.s1) / (m_s.n + m_l.n)
 
 
 def synthetic_moments(u, v, mean_s=80.0, mean_l=120.0):
@@ -53,10 +57,20 @@ class TestIterationBound:
             (1.0, 1.0, 0),
             (0.0009, 0.001, 0),
             (8.0, 1.0, 3),
+            # Exact powers of 1/η, where ⌈log2(|D⁰|/thr)⌉ rounds up to
+            # 30, 32 and 30; Algorithm 2 stops after 29, 31 and 29 rounds.
+            (2.0**29, 1.0, 29),
+            (2.0**31, 1.0, 31),
+            (0.001 * 2.0**29, 0.001, 29),
         ],
     )
     def test_bound_formula(self, d0, thr, expected):
         assert iteration_upper_bound(d0, thr) == expected
+
+    @pytest.mark.parametrize("d0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gap_rejected(self, d0):
+        with pytest.raises(ValueError):
+            iteration_upper_bound(d0, 0.001)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -101,9 +115,8 @@ class TestInteriorMeeting:
 
     def _run(self, u, v, sketch0, cfg=CFG):
         m_s, m_l = synthetic_moments(u, v)
-        k, c = theorem3_kc(m_s, m_l, cfg.leverage_allocating_q(u / v))
         ans = modulate_block(m_s, m_l, sketch0, cfg.with_(clamp_to_sketch_ci=False))
-        return ans, c
+        return ans, sl_mean(m_s, m_l)
 
     def test_case2_meets_lambda_weighted_point(self):
         # |S| > |L| and c < sketch0 → Case 2.
@@ -128,22 +141,26 @@ class TestInteriorMeeting:
     def test_case3_answer_between_estimators(self, sketch0, lam):
         cfg = CFG.with_(lam=lam, clamp_to_sketch_ci=False)
         m_s, m_l = synthetic_moments(1000, 1150)
-        _, c = theorem3_kc(m_s, m_l, 1.0)
+        c = sl_mean(m_s, m_l)
         ans = modulate_block(m_s, m_l, sketch0, cfg)
         assert ans.case == 3
         assert sketch0 - 1e-9 <= ans.partial <= c + 1e-9
 
     def test_alpha_recovers_partial(self):
-        """avg = kα + c must hold for the reported α (Alg. 2 line 12)."""
+        """avg = kα + c (Alg. 2 line 12): the partial is the reported c
+        (the S∪L mean) moved by the modulation kα, which in Case 3 goes
+        from c toward sketch0 without passing it."""
         m_s, m_l = synthetic_moments(1000, 1150)
         ans = modulate_block(m_s, m_l, 95.0, CFG.with_(clamp_to_sketch_ci=False))
-        assert ans.k * ans.alpha + ans.c == pytest.approx(ans.partial, abs=1e-9)
+        assert ans.case == 3
+        assert ans.c == sl_mean(m_s, m_l)
+        assert ans.d0 == ans.c - 95.0
+        assert 95.0 < ans.partial < ans.c
 
     def test_iters_within_upper_bound(self):
         m_s, m_l = synthetic_moments(1000, 1150)
         ans = modulate_block(m_s, m_l, 95.0, CFG.with_(clamp_to_sketch_ci=False))
-        assert 0 < ans.iters <= iteration_upper_bound(ans.d0, CFG.threshold) \
-            <= CFG.max_iters
+        assert 0 < ans.iters == iteration_upper_bound(ans.d0, CFG.threshold)
 
 
 class TestUnbalancedCases:
@@ -152,8 +169,7 @@ class TestUnbalancedCases:
     def test_case1_extrapolates_above_sketch0(self):
         # |S| < |L| (μ above sketch0) yet c < sketch0: unbalanced.
         m_s, m_l = synthetic_moments(1000, 1300, mean_s=70.0, mean_l=110.0)
-        _, c = theorem3_kc(m_s, m_l, 1.0)
-        sketch0 = c + 0.05  # slightly above c → D0 < 0
+        sketch0 = sl_mean(m_s, m_l) + 0.05  # slightly above c → D0 < 0
         cfg = CFG.with_(clamp_to_sketch_ci=False)
         ans = modulate_block(m_s, m_l, sketch0, cfg)
         assert ans.case == 1
@@ -161,8 +177,7 @@ class TestUnbalancedCases:
 
     def test_case4_extrapolates_below_sketch0(self):
         m_s, m_l = synthetic_moments(1300, 1000, mean_s=90.0, mean_l=130.0)
-        _, c = theorem3_kc(m_s, m_l, 1.0)
-        sketch0 = c - 0.05  # slightly below c → D0 > 0
+        sketch0 = sl_mean(m_s, m_l) - 0.05  # slightly below c → D0 > 0
         cfg = CFG.with_(clamp_to_sketch_ci=False)
         ans = modulate_block(m_s, m_l, sketch0, cfg)
         assert ans.case == 4
@@ -170,11 +185,13 @@ class TestUnbalancedCases:
 
     def test_case4_alpha_negative(self):
         # §V-C Case 4: "α is negative to balance such unbalanced sampling"
-        # (when k > 0; in general sign(α) = −sign(k) here since t < 0).
+        # (when k > 0): the modulation t = kα is negative, so the partial
+        # lies below c.
         m_s, m_l = synthetic_moments(1300, 1000, mean_s=90.0, mean_l=130.0)
-        _, c = theorem3_kc(m_s, m_l, 1.0)
+        c = sl_mean(m_s, m_l)
         ans = modulate_block(m_s, m_l, c - 0.05, CFG.with_(clamp_to_sketch_ci=False))
-        assert ans.alpha * ans.k < 0  # t = kα is negative
+        assert ans.case == 4
+        assert ans.partial < c
 
 
 class TestClamp:
@@ -197,8 +214,7 @@ class TestClamp:
 
     def test_interior_answers_not_clamped(self):
         m_s, m_l = synthetic_moments(1100, 1000)
-        _, c = theorem3_kc(m_s, m_l, CFG.leverage_allocating_q(1.1))
-        ans = modulate_block(m_s, m_l, c + 0.1, CFG)
+        ans = modulate_block(m_s, m_l, sl_mean(m_s, m_l) + 0.1, CFG)
         assert not ans.clamped
 
 
@@ -208,7 +224,7 @@ class TestLiteralCase3:
         (λ/(1−λ))·D⁰ — the amplification DESIGN.md §2 documents."""
         cfg = CFG.with_(case3_literal=True, clamp_to_sketch_ci=False)
         m_s, m_l = synthetic_moments(1000, 1150)
-        _, c = theorem3_kc(m_s, m_l, cfg.leverage_allocating_q(1000 / 1150))
+        c = sl_mean(m_s, m_l)
         sketch0 = c - 0.2
         ans = modulate_block(m_s, m_l, sketch0, cfg)
         assert ans.case == 3
@@ -220,9 +236,120 @@ class TestLiteralCase3:
     def test_literal_mode_is_clamped_by_default_config(self):
         cfg = CFG.with_(case3_literal=True)
         m_s, m_l = synthetic_moments(1000, 1150)
-        _, c = theorem3_kc(m_s, m_l, cfg.leverage_allocating_q(1000 / 1150))
+        c = sl_mean(m_s, m_l)
         ans = modulate_block(m_s, m_l, c - 0.2, cfg)
         assert ans.partial <= (c - 0.2) + cfg.t_e * cfg.e + 1e-12
+
+
+def _reference_modulate(m_s, m_l, sketch0, cfg):
+    """The iterative Algorithm 2 that ``modulate_block`` replaced, kept as
+    the reference: returns (partial, case, iters, clamped).
+
+    It stepped the sketch and the leverage modulation t = kα round by
+    round; Theorem 3's k only rescaled α = t/k and never entered avg.
+    """
+    u, v = m_s.n, m_l.n
+    if u == 0 or v == 0:
+        return sketch0, 5, 0, False
+    dev = u / v
+    lo, hi = cfg.dev_case5
+    if lo < dev < hi:
+        return sketch0, 5, 0, False
+    c = (m_s.s1 + m_l.s1) / (u + v)
+    d0 = c - sketch0
+    if d0 == 0.0:
+        return c, 5, 0, False
+    case = classify_case(d0, u, v)
+
+    d = d0
+    sketch = sketch0
+    t = 0.0
+    thr = cfg.threshold
+    lam, eta = cfg.lam, cfg.eta
+    iters = 0
+    while abs(d) > thr and iters < 64:
+        delta = (1.0 - eta) * abs(d)
+        if case == 2:
+            ds = delta / (1.0 + lam)
+            dt = lam * ds
+            sketch -= ds
+            t += dt
+        elif case == 3:
+            if cfg.case3_literal:
+                ds = delta / (1.0 - lam)
+                dt = lam * ds
+                sketch += ds
+                t += dt
+            else:
+                ds = delta / (1.0 + lam)
+                dt = lam * ds
+                sketch += ds
+                t -= dt
+        elif case == 1:
+            dt = delta / (1.0 - lam)
+            ds = lam * dt
+            sketch += ds
+            t += dt
+        else:
+            dt = delta / (1.0 - lam)
+            ds = lam * dt
+            sketch -= ds
+            t -= dt
+        d *= eta
+        iters += 1
+    avg = c + t
+    if cfg.clamp_to_sketch_ci:
+        radius = cfg.t_e * cfg.e
+        lo, hi = sketch0 - radius, sketch0 + radius
+        if avg < lo or avg > hi:
+            return min(max(avg, lo), hi), case, iters, True
+    return avg, case, iters, False
+
+
+@st.composite
+def loop_inputs(draw):
+    """A block's S/L moments, a sketch0 and a config for the loop test.
+
+    c is a multiple of 2⁻¹⁰, so with thr = 2⁻¹⁰ and η = 0.5 the drawn
+    |D⁰|/thr = 2ᵏ is exact and the loop stops exactly at |D| = thr.
+    """
+    u = draw(st.integers(1, 3000))
+    v = draw(st.integers(1, 3000))
+    c = draw(st.integers(60 * 1024, 140 * 1024)) / 1024
+    s1_s = u * draw(st.integers(50, 95))
+    m_s = RegionMoments(u, float(s1_s), 0.0)
+    m_l = RegionMoments(v, c * (u + v) - s1_s, 0.0)
+    eta = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    thr = draw(st.sampled_from([2.0**-10, 1e-3]))
+    if draw(st.booleans()):  # |D⁰|/thr at an exact power of 1/η
+        k = draw(st.integers(0, 40))
+        sketch0 = c - draw(st.sampled_from([-1.0, 1.0])) * thr / eta**k
+    else:
+        sketch0 = c - draw(st.floats(-5.0, 5.0))
+    cfg = ISLAConfig(
+        e=draw(st.sampled_from([0.1, 0.5, 2.0])),
+        eta=eta,
+        lam=draw(st.sampled_from([0.2, 0.5, 0.8])),
+        thr=thr,
+        clamp_to_sketch_ci=draw(st.booleans()),
+        case3_literal=draw(st.booleans()),
+    )
+    return m_s, m_l, sketch0, cfg
+
+
+class TestClosedFormMatchesLoop:
+    """The closed form equals the iterative Algorithm 2 (DESIGN.md §2)."""
+
+    @given(loop_inputs())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_case_iters_and_partial(self, inputs):
+        m_s, m_l, sketch0, cfg = inputs
+        want, case, iters, clamped = _reference_modulate(m_s, m_l, sketch0, cfg)
+        ans = modulate_block(m_s, m_l, sketch0, cfg)
+        assert (ans.case, ans.iters, ans.clamped) == (case, iters, clamped)
+        # Relative to the operands' scale: the loop sums n rounded steps.
+        scale = max(abs(want), abs(ans.c), abs(sketch0))
+        assert ans.partial == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
 
 
 def test_literal_cumulative_reading_is_inconsistent():

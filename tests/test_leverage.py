@@ -27,6 +27,17 @@ from repro.core.moments import RegionMoments
 XS, YS = [4.0, 5.0], [8.0]
 
 
+def kc(xs, ys, q=1.0):
+    """Theorem 3's (k, c) from the moments and cube sums of raw samples."""
+    return theorem3_kc(
+        RegionMoments.from_values(xs),
+        RegionMoments.from_values(ys),
+        sum(x * x * x for x in xs),
+        sum(y * y * y for y in ys),
+        q,
+    )
+
+
 class TestTable2Example:
     """Every column of the paper's Table II, as exact fractions."""
 
@@ -59,9 +70,7 @@ class TestTable2Example:
         assert l_estimator(XS, YS, 0.1, 1.0) == pytest.approx(5.665, abs=5e-3)
 
     def test_theorem3_agrees_with_table2(self):
-        k, c = theorem3_kc(
-            RegionMoments.from_values(XS), RegionMoments.from_values(YS), 1.0
-        )
+        k, c = kc(XS, YS, 1.0)
         assert c == pytest.approx((4 + 5 + 8) / 3)
         assert k * 0.1 + c == pytest.approx(l_estimator(XS, YS, 0.1, 1.0))
 
@@ -131,9 +140,7 @@ class TestLeverageProperties:
     @settings(max_examples=200, deadline=None)
     def test_theorem3_equals_brute_force(self, xs, ys, q, alpha):
         """The streaming-moments path must equal the per-sample path."""
-        k, c = theorem3_kc(
-            RegionMoments.from_values(xs), RegionMoments.from_values(ys), q
-        )
+        k, c = kc(xs, ys, q)
         brute = l_estimator(xs, ys, alpha, q)
         assert k * alpha + c == pytest.approx(brute, rel=1e-7, abs=1e-7)
 
@@ -141,23 +148,15 @@ class TestLeverageProperties:
     @settings(max_examples=100, deadline=None)
     def test_c_is_uniform_mean_of_SL(self, xs, ys, q):
         """f(0) = c = the uniform S∪L mean (α=0 disables leverages)."""
-        _, c = theorem3_kc(
-            RegionMoments.from_values(xs), RegionMoments.from_values(ys), q
-        )
+        _, c = kc(xs, ys, q)
         assert c == pytest.approx((sum(xs) + sum(ys)) / (len(xs) + len(ys)))
 
     @given(pos_values, pos_values)
     @settings(max_examples=100, deadline=None)
     def test_order_insensitive(self, xs, ys):
         """The sampling-sequence insensitivity claim (§V-A)."""
-        k1, c1 = theorem3_kc(
-            RegionMoments.from_values(xs), RegionMoments.from_values(ys), 1.0
-        )
-        k2, c2 = theorem3_kc(
-            RegionMoments.from_values(list(reversed(xs))),
-            RegionMoments.from_values(list(reversed(ys))),
-            1.0,
-        )
+        k1, c1 = kc(xs, ys, 1.0)
+        k2, c2 = kc(list(reversed(xs)), list(reversed(ys)), 1.0)
         assert k1 == pytest.approx(k2, rel=1e-9, abs=1e-12)
         assert c1 == pytest.approx(c2, rel=1e-9)
 
@@ -165,17 +164,13 @@ class TestLeverageProperties:
 class TestErrors:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
-            theorem3_kc(RegionMoments.empty(), RegionMoments.from_values([1.0]))
+            kc([], [1.0])
         with pytest.raises(ValueError):
             normalization_factors([], [1.0])
 
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):
-            theorem3_kc(
-                RegionMoments.from_values([1.0]),
-                RegionMoments.from_values([2.0]),
-                0.0,
-            )
+            kc([1.0], [2.0], 0.0)
 
     def test_bad_probability_count_rejected(self):
         with pytest.raises(ValueError):
@@ -189,10 +184,7 @@ class TestErrors:
 
     def test_all_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            theorem3_kc(
-                RegionMoments.from_values([0.0]),
-                RegionMoments.from_values([0.0]),
-            )
+            kc([0.0], [0.0])
 
 
 class TestQEffect:

@@ -26,11 +26,10 @@ class TestRegionMoments:
         assert m.n == 3
         assert m.s1 == 6.0
         assert m.s2 == 14.0
-        assert m.s3 == 36.0
 
     def test_empty(self):
         m = RegionMoments.empty()
-        assert (m.n, m.s1, m.s2, m.s3) == (0, 0.0, 0.0, 0.0)
+        assert (m.n, m.s1, m.s2) == (0, 0.0, 0.0)
         assert m.mean == 0.0
 
     def test_add_matches_from_values(self):
@@ -52,7 +51,6 @@ class TestRegionMoments:
         assert merged.n == whole.n
         assert merged.s1 == pytest.approx(whole.s1, rel=1e-9, abs=1e-9)
         assert merged.s2 == pytest.approx(whole.s2, rel=1e-9, abs=1e-9)
-        assert merged.s3 == pytest.approx(whole.s3, rel=1e-9, abs=1e-9)
 
     def test_mean(self):
         assert RegionMoments.from_values([2.0, 4.0]).mean == 3.0
@@ -84,8 +82,6 @@ class TestSparkJob:
             assert m_s.n == want_s.n and m_l.n == want_l.n
             assert m_s.s1 == pytest.approx(want_s.s1, rel=1e-9)
             assert m_s.s2 == pytest.approx(want_s.s2, rel=1e-9)
-            assert m_s.s3 == pytest.approx(want_s.s3, rel=1e-9)
-            assert m_l.s3 == pytest.approx(want_l.s3, rel=1e-9)
 
     def test_moment_means_vs_duckdb_oracle(self, spark, sdf, pdf):
         """Oracle diff of the S/L aggregation (as means, which are
@@ -140,24 +136,6 @@ class TestSparkJob:
         a = sample_region_moments(sdf, "v", "block", fr, bounds, seed=9)
         b = sample_region_moments(sdf, "v", "block", fr, bounds, seed=9)
         assert a == b
-
-    def test_shift_translates_classification(self, spark):
-        """With shift d, value x is classified by the shifted bounds at
-        x + d — equivalent to classifying x by the original bounds."""
-        pdf = blocked_normal_pdf(n=5_000, b=2, mu=0.0, sigma=20.0, seed=33)
-        sdf = spark.createDataFrame(pdf)
-        d = 1000.0
-        shifted_bounds = {j: DataBoundaries(0.0 + d, 20.0) for j in range(2)}
-        plain_bounds = {j: DataBoundaries(0.0, 20.0) for j in range(2)}
-        a = sample_region_moments(
-            sdf, "v", "block", {0: 1.0, 1: 1.0}, shifted_bounds, shift=d
-        )
-        b = sample_region_moments(sdf, "v", "block", {0: 1.0, 1: 1.0}, plain_bounds)
-        for j in range(2):
-            assert a[j][0].n == b[j][0].n
-            assert a[j][1].n == b[j][1].n
-            # Shifted sums relate by n·d.
-            assert a[j][0].s1 == pytest.approx(b[j][0].s1 + b[j][0].n * d, rel=1e-9)
 
     def test_per_block_bounds(self, spark):
         """Non-iid mode: each block classified by its own boundaries."""

@@ -1,4 +1,4 @@
-"""Pre-estimation module tests (§III): σ̂, sketch0, rates, shift, blev."""
+"""Pre-estimation module tests (§III): σ̂, sketch0, rates, blev."""
 import math
 
 import pytest
@@ -71,22 +71,6 @@ class TestSigmaAndSketch:
         for blk in range(6):
             assert abs(pre.sketch_by_block[blk] - 100.0) < 5.0
             assert pre.sigma_by_block[blk] == pytest.approx(20.0, rel=0.3)
-
-
-class TestShift:
-    def test_positive_data_needs_no_shift(self, pre):
-        assert pre.shift == 0.0
-
-    def test_negative_data_gets_positive_shift(self, spark):
-        pdf = blocked_normal_pdf(n=20_000, b=4, mu=-50.0, sigma=10.0, seed=5)
-        sdf = spark.createDataFrame(pdf)
-        p = pre_estimate(
-            sdf, "v", "block", CFG,
-            block_sizes=round_robin_sizes(20_000, 4), seed=2,
-        )
-        assert p.shift > 0
-        # The shift must push essentially all data positive.
-        assert p.shift + pdf["v"].min() > -p.sigma
 
 
 class TestFractions:

@@ -90,7 +90,8 @@ def isla_avg(
         (e.g. 1/3 for the Table V evaluation).
     non_iid : enable the §VII-C extension (per-block boundaries + blev
         sampling rates).
-    block_sizes : |B_j| metadata; computed with a count job if absent.
+    block_sizes : |B_j| metadata, the number of non-null values of
+        ``value_col`` in block j; computed with a count job if absent.
     pre : reuse an existing pre-estimation (lets baselines share the
         same pilot, as in the paper's comparisons).
     seed : sampling seed (pilot seeds derive from it).

@@ -10,7 +10,8 @@ Two pilot passes over small uniform samples:
 
 Block sizes |B_j| are treated as metadata the paper assumes known
 ("M could be easily obtained from the meta data"); callers either pass
-them or this module computes them once with a count job.
+them or this module computes them once with a count job. They count the
+non-null values of a block, as SQL ``AVG`` does.
 """
 from __future__ import annotations
 
@@ -135,7 +136,12 @@ def pre_estimate(
     block_sizes: Mapping[object, int] | None = None,
     seed: int = 0,
 ) -> PreEstimate:
-    """Run the Pre-estimation module (§III-A, §III-B)."""
+    """Run the Pre-estimation module (§III-A, §III-B).
+
+    Null values are dropped first, as SQL ``AVG`` drops them: |B_j|, the
+    pilot counts and so every block weight count values, not rows.
+    """
+    df = df.where(F.col(value_col).isNotNull())
     sizes = (
         dict(block_sizes)
         if block_sizes is not None

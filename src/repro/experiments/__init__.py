@@ -1,9 +1,10 @@
 """Experiment runners — one module per evaluation table (DESIGN.md §5).
 
 Each ``run_*`` function takes a SparkSession plus scale knobs and
-returns a plain dict of paper-table-shaped rows; ``python -m
-repro.experiments`` prints them as tables and ``benchmarks/bench_*.py``
-time them.
+returns a plain dict of paper-table-shaped rows. The ``EXPERIMENTS``
+registry in ``repro.experiments.__main__`` runs them, prints their tables
+and writes their result JSONs; ``python -m repro.experiments`` and
+``benchmarks/bench_experiments.py`` both go through it.
 """
 
 from repro.experiments.table3 import run_table3

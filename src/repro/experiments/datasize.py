@@ -11,7 +11,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro.core import ISLAConfig, isla_avg
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import cached, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -30,14 +30,12 @@ def run_datasize(
     out = {"mu": mu, "e": e, "M": list(sizes), "ISLA": [], "m_required": []}
     for i, n in enumerate(sizes):
         seed = seed0 + 10 * i
-        df = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed).cache()
-        try:
+        data = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed)
+        with cached(data) as df:
             res = isla_avg(
                 df, "v", "block", cfg,
                 block_sizes=round_robin_sizes(n, b), seed=seed,
             )
             out["ISLA"].append(res.answer)
             out["m_required"].append(res.pre.m)
-        finally:
-            df.unpersist()
     return out

@@ -22,6 +22,7 @@ from pyspark.sql import functions as F
 from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
 from repro.core.pre_estimation import compute_block_sizes, pre_estimate
+from repro.experiments.runner import cached
 from repro.synth_data import lineitem
 
 
@@ -36,14 +37,13 @@ def run_efficiency(
 ) -> dict:
     """Time ISLA/MV/MVB/US/STS on AVG(l_extendedprice)."""
     cfg = ISLAConfig(e=e)
-    df = (
+    data = (
         lineitem(spark, sf=sf, seed=seed)
         .withColumn("block", (F.col("l_orderkey") % b).cast("int"))
         .select("block", F.col("l_extendedprice").alias("v"))
-        .cache()
     )
-    df.count()  # materialise the cache before timing
-    try:
+    with cached(data) as df:
+        df.count()  # materialise the cache before timing
         sizes = compute_block_sizes(df, "block")
         pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
         bounds = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
@@ -71,5 +71,3 @@ def run_efficiency(
         row = df.agg(F.avg("v").alias("avg")).first()
         out["accurate"] = float(row["avg"])
         return out
-    finally:
-        df.unpersist()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro.core import ISLAConfig, isla_avg
+from repro.experiments.runner import cached
 from repro.synth_data import blocked_noniid_normal
 
 
@@ -29,14 +30,12 @@ def run_noniid(
     out = {"accurate": accurate, "e": e, "ISLA": []}
     for i in range(n_runs):
         seed = seed0 + 10 * i
-        df = blocked_noniid_normal(
+        data = blocked_noniid_normal(
             spark, n_per_block=n_per_block, params=params, seed=seed
-        ).cache()
-        try:
+        )
+        with cached(data) as df:
             res = isla_avg(
                 df, "v", "block", cfg, non_iid=True, block_sizes=sizes, seed=seed
             )
             out["ISLA"].append(res.answer)
-        finally:
-            df.unpersist()
     return out

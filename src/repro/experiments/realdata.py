@@ -23,8 +23,7 @@ from pyspark.sql import functions as F
 from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
 from repro.core.config import z_score
-from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import exact_avg, round_robin_sizes
+from repro.experiments.runner import cached, round_robin_sizes
 from repro.synth_data import salary_like, tlc_like
 
 
@@ -37,8 +36,10 @@ def _run_one(
     accurate, sigma = float(stats["avg"]), float(stats["std"])
     e = z_score(beta) * sigma / math.sqrt(m_target)
     cfg = ISLAConfig(e=e, beta=beta)
-    pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
-    res = isla_avg(df, "v", "block", cfg, pre=pre, rate_factor=0.5, seed=seed)
+    res = isla_avg(
+        df, "v", "block", cfg, rate_factor=0.5, block_sizes=sizes, seed=seed
+    )
+    pre = res.pre
     bounds = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
     return {
         "accurate": accurate,
@@ -68,14 +69,8 @@ def run_realdata(
         ("salary", salary_like, n_salary),
         ("tlc", tlc_like, n_tlc),
     ):
-        df = gen(spark, n=n, b=b, seed=seed).cache()
-        try:
+        with cached(gen(spark, n=n, b=b, seed=seed)) as df:
             out[name] = _run_one(
                 df, round_robin_sizes(n, b), m_target, beta, seed
             )
-        finally:
-            df.unpersist()
     return out
-
-
-__all__ = ["run_realdata", "exact_avg"]

@@ -1,8 +1,22 @@
-"""Shared experiment plumbing: sizes, ground truth, formatting."""
+"""Shared experiment plumbing: caching, block sizes, ground truth and
+table formatting."""
 from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+
+@contextmanager
+def cached(df: DataFrame) -> Iterator[DataFrame]:
+    """Cache ``df`` for the body of a ``with`` block, then unpersist it."""
+    df = df.cache()
+    try:
+        yield df
+    finally:
+        df.unpersist()
 
 
 def round_robin_sizes(n: int, b: int) -> dict[int, int]:

@@ -10,8 +10,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.measure_biased import mv_block_avgs, mvb_block_avgs
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
-from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import cached, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -28,10 +27,10 @@ def run_table4(
     """Per-block partial answers for dataset 1 (same seed as Table III)."""
     cfg = ISLAConfig(e=e)
     sizes = round_robin_sizes(n, b)
-    df = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed).cache()
-    try:
-        pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
-        res = isla_avg(df, "v", "block", cfg, pre=pre, seed=seed)
+    data = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed)
+    with cached(data) as df:
+        res = isla_avg(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
+        pre = res.pre
         bounds = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
         mv = mv_block_avgs(df, "v", "block", pre.rate, seed=seed + 5)
         mvb = mvb_block_avgs(df, "v", "block", pre.rate, bounds, seed=seed + 6)
@@ -46,5 +45,3 @@ def run_table4(
             "ISLA_final": res.answer,
             "cases": [res.blocks[blk].case for blk in blocks],
         }
-    finally:
-        df.unpersist()

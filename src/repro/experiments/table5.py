@@ -11,8 +11,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines import stratified_avg, uniform_avg
 from repro.core import ISLAConfig, isla_avg
-from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import cached, round_robin_sizes
 from repro.synth_data import blocked_normal
 
 
@@ -34,12 +33,13 @@ def run_table5(
            "ISLA": [], "US": [], "STS": [], "isla_samples": [], "us_samples": []}
     for i in range(n_datasets):
         seed = seed0 + 10 * i
-        df = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed).cache()
-        try:
-            pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
+        data = blocked_normal(spark, n=n, b=b, mu=mu, sigma=sigma, seed=seed)
+        with cached(data) as df:
             res = isla_avg(
-                df, "v", "block", cfg, pre=pre, rate_factor=1.0 / 3.0, seed=seed
+                df, "v", "block", cfg,
+                rate_factor=1.0 / 3.0, block_sizes=sizes, seed=seed,
             )
+            pre = res.pre
             out["ISLA"].append(res.answer)
             out["US"].append(uniform_avg(df, "v", pre.rate, seed=seed + 5))
             out["STS"].append(
@@ -47,6 +47,4 @@ def run_table5(
             )
             out["isla_samples"].append(res.samples_participating)
             out["us_samples"].append(pre.m)
-        finally:
-            df.unpersist()
     return out

@@ -10,8 +10,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines import mv_avg, mvb_avg
 from repro.core import DataBoundaries, ISLAConfig, isla_avg
-from repro.core.pre_estimation import pre_estimate
-from repro.experiments.runner import round_robin_sizes
+from repro.experiments.runner import cached, round_robin_sizes
 from repro.synth_data import blocked_exponential
 
 
@@ -31,14 +30,12 @@ def run_table6(
            "ISLA": [], "MV": [], "MVB": []}
     for i, gamma in enumerate(gammas):
         seed = seed0 + 10 * i
-        df = blocked_exponential(spark, n=n, b=b, gamma=gamma, seed=seed).cache()
-        try:
-            pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
-            res = isla_avg(df, "v", "block", cfg, pre=pre, seed=seed)
+        data = blocked_exponential(spark, n=n, b=b, gamma=gamma, seed=seed)
+        with cached(data) as df:
+            res = isla_avg(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
+            pre = res.pre
             bounds = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
             out["ISLA"].append(res.answer)
             out["MV"].append(mv_avg(df, "v", pre.rate, seed=seed + 5))
             out["MVB"].append(mvb_avg(df, "v", pre.rate, bounds, seed=seed + 6))
-        finally:
-            df.unpersist()
     return out

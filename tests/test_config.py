@@ -1,13 +1,10 @@
-"""Unit tests for repro.core.config (Eq. (1), quantiles) and the §VIII q′
-bands of repro.core.leverage."""
-import math
+"""Unit tests for repro.core.config (Eq. (1), quantiles)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import ISLAConfig, required_sample_size, z_score
-from repro.core.leverage import leverage_allocating_q, q_prime
 
 
 class TestZScore:
@@ -108,37 +105,3 @@ class TestISLAConfigValidation:
         cfg = ISLAConfig(e=0.1, t_e=3.0)
         m = cfg.sample_size(20.0)
         assert cfg.sketch_sample_size(20.0) == pytest.approx(m / 9.0, rel=0.01)
-
-
-class TestQSelection:
-    """§VIII "Parameters": the q′ bands from the deviation degree (they
-    live beside the explicit leverage path, which no answer reads)."""
-
-    @pytest.mark.parametrize("dev", [0.975, 0.99, 1.0, 1.01, 1.025])
-    def test_inner_band_q1(self, dev):
-        assert q_prime(dev) == 1.0
-
-    @pytest.mark.parametrize("dev", [0.945, 0.96, 1.04, 1.055])
-    def test_mid_band_q5(self, dev):
-        assert q_prime(dev) == 5.0
-
-    @pytest.mark.parametrize("dev", [0.1, 0.93, 1.07, 2.5, 10.0])
-    def test_outer_band_q10(self, dev):
-        assert q_prime(dev) == 10.0
-
-    @pytest.mark.parametrize(
-        "dev,expected",
-        [
-            (1.0, 1.0),          # no deviation → q = 1
-            (0.95, 5.0),         # |S| < |L| → boost S: q = q′
-            (1.05, 1.0 / 5.0),   # |S| > |L| → damp S: q = 1/q′
-            (0.5, 10.0),
-            (2.0, 1.0 / 10.0),
-        ],
-    )
-    def test_leverage_allocating_q(self, dev, expected):
-        assert leverage_allocating_q(dev) == pytest.approx(expected)
-
-    @given(st.floats(min_value=0.01, max_value=100.0))
-    def test_q_always_positive(self, dev):
-        assert leverage_allocating_q(dev) > 0

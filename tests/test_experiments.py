@@ -219,6 +219,12 @@ class TestEntryPoint:
         for runner, _, _ in EXPERIMENTS.values():
             assert getattr(experiments, runner.__name__) is runner
 
+    def test_every_experiment_but_datasize_has_a_bench_check(self):
+        """A new experiment cannot silently lose its full-scale check."""
+        from benchmarks.bench_experiments import SHAPE_CHECKS
+
+        assert list(SHAPE_CHECKS) == [n for n in EXPERIMENTS if n != "datasize"]
+
     @pytest.mark.parametrize("argv", [["table99"], []])
     def test_unknown_name_exits_nonzero(self, argv):
         with pytest.raises(SystemExit) as exc:

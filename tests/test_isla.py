@@ -185,6 +185,28 @@ class TestNonIID:
             df.unpersist()
 
 
+class TestNulls:
+    def test_null_values_carry_no_weight(self, spark):
+        """SQL AVG semantics: a block whose values are mostly null weighs
+        by its non-null values, not by its rows. Block 3 is shifted by
+        +100 and ~90 % null; weighting it by rows pulls the answer ~21
+        too high."""
+        v = F.col("v")
+        shifted = F.when(F.col("block") == 3, v + 100.0).otherwise(v)
+        nulled = (F.col("block") == 3) & (F.rand(7919) < 0.9)
+        df = (
+            blocked_normal(spark, n=400_000, b=4, seed=31)
+            .select("block", F.when(nulled, None).otherwise(shifted).alias("v"))
+            .cache()
+        )
+        try:
+            e = 0.5
+            res = isla_avg(df, "v", "block", ISLAConfig(e=e), non_iid=True, seed=5)
+            assert abs(res.answer - exact_avg(df, "v")) < 2 * e
+        finally:
+            df.unpersist()
+
+
 class TestGroundTruthOracle:
     def test_exact_avg_vs_duckdb(self, spark):
         pdf = blocked_normal_pdf(n=30_000, b=3, seed=17)

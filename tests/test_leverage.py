@@ -2,7 +2,7 @@
 
 The Table II example is checked digit-for-digit (exact fractions), and
 Theorem 3's streaming (k, c) is property-tested against the brute-force
-per-sample l-estimator.
+per-sample l-estimator. The §VIII q′ bands are checked at their edges.
 """
 import math
 from fractions import Fraction
@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from repro.core.leverage import (
     deviation_factors,
     l_estimator,
+    leverage_allocating_q,
     normalization_factors,
     normalized_leverages,
     original_leverages,
     probabilities,
+    q_prime,
     theorem3_kc,
     theoretical_leverage_sums,
 )
@@ -208,3 +210,37 @@ class TestQEffect:
         assert l_estimator(xs, ys, 0.0, q) == pytest.approx(
             sum(xs + ys) / 4
         )
+
+
+class TestQSelection:
+    """§VIII "Parameters": the q′ bands from the deviation degree (they
+    live beside the explicit leverage path, which no answer reads)."""
+
+    @pytest.mark.parametrize("dev", [0.975, 0.99, 1.0, 1.01, 1.025])
+    def test_inner_band_q1(self, dev):
+        assert q_prime(dev) == 1.0
+
+    @pytest.mark.parametrize("dev", [0.945, 0.96, 1.04, 1.055])
+    def test_mid_band_q5(self, dev):
+        assert q_prime(dev) == 5.0
+
+    @pytest.mark.parametrize("dev", [0.1, 0.93, 1.07, 2.5, 10.0])
+    def test_outer_band_q10(self, dev):
+        assert q_prime(dev) == 10.0
+
+    @pytest.mark.parametrize(
+        "dev,expected",
+        [
+            (1.0, 1.0),          # no deviation → q = 1
+            (0.95, 5.0),         # |S| < |L| → boost S: q = q′
+            (1.05, 1.0 / 5.0),   # |S| > |L| → damp S: q = 1/q′
+            (0.5, 10.0),
+            (2.0, 1.0 / 10.0),
+        ],
+    )
+    def test_leverage_allocating_q(self, dev, expected):
+        assert leverage_allocating_q(dev) == pytest.approx(expected)
+
+    @given(st.floats(min_value=0.01, max_value=100.0))
+    def test_q_always_positive(self, dev):
+        assert leverage_allocating_q(dev) > 0

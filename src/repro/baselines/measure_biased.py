@@ -17,57 +17,39 @@ Per-block variants back the Table IV partial-answer comparison.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.boundaries import DataBoundaries, region_column_for
-
-
-def _sample(df: DataFrame, rate: float, seed: int) -> DataFrame:
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return df if rate >= 1.0 else df.sample(fraction=rate, seed=seed)
+from repro.core.moments import RegionMoments, sampled_moments
 
 
 def mv_avg(df: DataFrame, value_col: str, rate: float, *, seed: int = 0) -> float:
     """MV estimate Σa²/Σa over a uniform sample."""
-    v = F.col(value_col).cast("double")
-    row = (
-        _sample(df, rate, seed)
-        .agg(F.sum(v * v).alias("s2"), F.sum(v).alias("s1"))
-        .first()
-    )
-    if row["s1"] is None or row["s1"] == 0:
+    m = sampled_moments(df, value_col, rate, seed)[()]
+    if m.s1 == 0:
         raise ValueError("MV sample empty or sums to zero")
-    return float(row["s2"]) / float(row["s1"])
+    return m.s2 / m.s1
 
 
 def mv_block_avgs(
     df: DataFrame, value_col: str, block_col: str, rate: float, *, seed: int = 0
 ) -> dict:
     """Per-block MV estimates (Table IV partials)."""
-    v = F.col(value_col).cast("double")
-    rows = (
-        _sample(df, rate, seed)
-        .groupBy(block_col)
-        .agg(F.sum(v * v).alias("s2"), F.sum(v).alias("s1"))
-        .collect()
-    )
-    return {r[block_col]: float(r["s2"]) / float(r["s1"]) for r in rows if r["s1"]}
+    moments = sampled_moments(df, value_col, rate, seed, by=(block_col,))
+    return {b: m.s2 / m.s1 for (b,), m in moments.items() if m.s1}
 
 
-def _mvb_from_region_rows(rows) -> float:
-    """Combine (n_g, Σa_g, Σa²_g) region rows into the MVB estimate."""
-    m = sum(int(r["n"]) for r in rows)
+def _mvb(regions: Iterable[RegionMoments]) -> float:
+    """Combine per-region (n_g, Σa_g, Σa²_g) into the MVB estimate."""
+    regions = list(regions)
+    m = sum(g.n for g in regions)
     if m == 0:
         raise ValueError("MVB sample empty")
-    est = 0.0
-    for r in rows:
-        s1 = float(r["s1"])
-        if s1 == 0.0:
-            continue  # a region whose values sum to zero carries no mass
-        est += (int(r["n"]) / m) * (float(r["s2"]) / s1)
-    return est
+    # A region whose values sum to zero carries no mass.
+    return sum(((g.n / m) * (g.s2 / g.s1) for g in regions if g.s1 != 0.0), 0.0)
 
 
 def mvb_avg(
@@ -79,15 +61,8 @@ def mvb_avg(
     seed: int = 0,
 ) -> float:
     """MVB estimate Σ_g (n_g/m)·Σ_g a²/Σ_g a over the 5 regions."""
-    v = F.col(value_col).cast("double")
-    rows = (
-        _sample(df, rate, seed)
-        .withColumn("__region", region_column_for(bounds, v))
-        .groupBy("__region")
-        .agg(F.count("*").alias("n"), F.sum(v).alias("s1"), F.sum(v * v).alias("s2"))
-        .collect()
-    )
-    return _mvb_from_region_rows(rows)
+    by = (region_column_for(bounds, F.col(value_col).cast("double")),)
+    return _mvb(sampled_moments(df, value_col, rate, seed, by=by).values())
 
 
 def mvb_block_avgs(
@@ -100,15 +75,9 @@ def mvb_block_avgs(
     seed: int = 0,
 ) -> dict:
     """Per-block MVB estimates (Table IV partials)."""
-    v = F.col(value_col).cast("double")
-    rows = (
-        _sample(df, rate, seed)
-        .withColumn("__region", region_column_for(bounds, v))
-        .groupBy(block_col, "__region")
-        .agg(F.count("*").alias("n"), F.sum(v).alias("s1"), F.sum(v * v).alias("s2"))
-        .collect()
-    )
+    by = (block_col, region_column_for(bounds, F.col(value_col).cast("double")))
     by_block: dict = {}
-    for r in rows:
-        by_block.setdefault(r[block_col], []).append(r)
-    return {b: _mvb_from_region_rows(rs) for b, rs in by_block.items()}
+    for (b, _), m in sampled_moments(df, value_col, rate, seed, by=by).items():
+        if m.n:  # a block whose sample holds no value has no estimate
+            by_block.setdefault(b, []).append(m)
+    return {b: _mvb(ms) for b, ms in by_block.items()}

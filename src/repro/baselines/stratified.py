@@ -3,14 +3,16 @@
 Strata are the storage blocks; allocation is proportional (the same
 rate per stratum), and the estimator combines per-stratum sample means
 weighted by the known stratum sizes |B_j| — the textbook stratified
-mean estimator.
+mean estimator, i.e. ISLA's summarization step over plain block means.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from repro.core.isla import summarize
+from repro.core.moments import sampled_moments
 
 
 def stratified_avg(
@@ -22,18 +24,13 @@ def stratified_avg(
     *,
     seed: int = 0,
 ) -> float:
-    """Stratified AVG estimate: Σ mean_j·|B_j| / Σ|B_j|."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    fractions = {b: min(1.0, rate) for b in block_sizes}
-    rows = (
-        df.sampleBy(block_col, fractions, seed=seed)
-        .groupBy(block_col)
-        .agg(F.avg(F.col(value_col).cast("double")).alias("mean"))
-        .collect()
-    )
-    means = {r[block_col]: float(r["mean"]) for r in rows}
+    """Stratified AVG estimate: Σ mean_j·|B_j| / Σ|B_j|.
+
+    Blocks outside ``block_sizes``, and blocks whose sample holds no
+    value, carry no weight.
+    """
+    moments = sampled_moments(df, value_col, rate, seed, by=(block_col,))
+    means = {b: m.mean for (b,), m in moments.items() if b in block_sizes and m.n}
     if not means:
         raise ValueError("stratified sample was empty — rate too small")
-    M = sum(block_sizes[b] for b in means)
-    return sum(m * block_sizes[b] for b, m in means.items()) / M
+    return summarize(means, block_sizes)

@@ -6,17 +6,15 @@ Eq. (1) rate: every sample weighted 1/m ("equally dividing the sum").
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from repro.core.moments import sampled_moments
 
 
 def uniform_avg(
     df: DataFrame, value_col: str, rate: float, *, seed: int = 0
 ) -> float:
     """AVG over a uniform sample of ``df`` at ``rate``."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    sampled = df if rate >= 1.0 else df.sample(fraction=rate, seed=seed)
-    row = sampled.agg(F.avg(F.col(value_col).cast("double")).alias("avg")).first()
-    if row["avg"] is None:
+    m = sampled_moments(df, value_col, rate, seed)[()]
+    if m.n == 0:
         raise ValueError("uniform sample was empty — rate too small")
-    return float(row["avg"])
+    return m.mean

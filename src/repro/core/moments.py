@@ -1,32 +1,28 @@
-"""Phase 1 — the sampling job (Algorithm 1, §VI-A) as a Spark DataFrame job.
+"""The one sampler, and the moments record every sampled estimator reads.
 
-Per block, ISLA records only ``param_S``/``param_L`` = (counter, sum,
-squareSum) of the samples falling in the S/L regions; everything else is
-dropped. In Spark this is:
+Algorithm 1 (§VI-A) keeps only ``(counter, sum, squareSum)`` per region;
+US, STS, the Eq. (4) re-weighting of MV/MVB and the sketch₀ pilot are
+arithmetic on the same record over a Bernoulli sample. So one job shape,
+:func:`sampled_moments`, serves them all:
 
-    sampleBy(block)                       # per-block Bernoulli sampling
-      → region tag from the (joined) boundary columns
-      → filter(region ∈ {S, L})
-      → groupBy(block, region).agg(count, Σx, Σx²)
+    where(row_uniform(seed) < fraction) → groupBy(by).agg(count(v), Σv, Σv²)
 
-which is exactly the streaming update loop of Algorithm 1, executed by
-Catalyst with partial aggregation (the "no sample storage" property is
-preserved: the shuffle carries 3 numbers per (block, region)).
-Algorithm 1 also keeps the cube sum, which only Theorem 3's k reads; no
-answer depends on k (DESIGN.md §2), so the job leaves it out. The answer
-reads only count and Σx; Σx² stays because a confidence interval from
-the gathered moments needs it.
+and :func:`row_uniform` alone decides which rows a seed samples.
 
-Per-block boundary columns come from a broadcast-joined bounds table so
-that the §VII-C non-iid extension (different boundaries per block) uses
-the same job; the iid case simply repeats one row per block.
+Phase 1 (:func:`sample_region_moments`) broadcast-joins a bounds table
+holding each block's fraction and boundaries (so the §VII-C non-iid
+extension uses the same job), tags regions, samples, aggregates per
+(block, region) and keeps S and L: 3 numbers per (block, region), the
+"no sample storage" property. Algorithm 1's cube sum feeds only
+Theorem 3's k, which no answer reads (DESIGN.md §2), so it is left out;
+Σv² stays for a confidence interval from the gathered moments.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.boundaries import DataBoundaries, Region, region_column
@@ -34,7 +30,11 @@ from repro.core.boundaries import DataBoundaries, Region, region_column
 
 @dataclass(frozen=True)
 class RegionMoments:
-    """param_S / param_L: counter, sum, square sum."""
+    """Counter, sum and square sum of a sample's values.
+
+    Algorithm 1's param_S / param_L, and the record every sampled
+    estimator reads (:func:`sampled_moments`).
+    """
 
     n: int
     s1: float
@@ -75,23 +75,66 @@ class RegionMoments:
 BlockMoments = dict[object, tuple[RegionMoments, RegionMoments]]
 
 
+def row_uniform(seed: int) -> Column:
+    """A U[0, 1) draw per row; the Bernoulli sample at fraction f with
+    this seed is the rows where ``row_uniform(seed) < f``.
+
+    Spark draws per partition (``seed`` + partition index), exactly as
+    ``df.sample(f, seed)`` and ``sampleBy`` do, so this picks the same
+    rows they would.
+    """
+    return F.rand(seed)
+
+
+def sampled_moments(
+    df: DataFrame,
+    value_col: str,
+    fraction: float | Column,
+    seed: int,
+    by: Sequence[str | Column] = (),
+) -> dict[tuple, RegionMoments]:
+    """(count, Σv, Σv²) of the non-null values of a Bernoulli sample.
+
+    The sample is the rows where ``row_uniform(seed) < fraction``; a
+    column ``fraction`` gives each row its own rate (a rate above 1
+    keeps every row). Returns ``{key tuple: RegionMoments}`` with one
+    entry per group of ``by`` that has a sampled row; ``by=()`` gives
+    the single key ``()``, present even for an empty sample.
+    """
+    if not isinstance(fraction, Column) and not 0.0 < fraction <= 1.0:
+        raise ValueError(f"rate must be in (0, 1], got {fraction}")
+    v = F.col(value_col).cast("double")
+    rows = (
+        df.where(row_uniform(seed) < fraction)
+        .groupBy(*by)
+        .agg(F.count(v).alias("n"), F.sum(v).alias("s1"), F.sum(v * v).alias("s2"))
+        .collect()
+    )
+    k = len(by)
+    return {
+        tuple(r[:k]): RegionMoments(int(r.n), float(r.s1 or 0.0), float(r.s2 or 0.0))
+        for r in rows
+    }
+
+
 def _bounds_table(
     df: DataFrame,
     block_col: str,
+    fractions: Mapping[object, float],
     bounds_by_block: Mapping[object, DataBoundaries],
 ) -> DataFrame:
-    """One row per block with the four boundary columns."""
+    """One row per block: its sampling fraction and four boundaries."""
     spark = df.sparkSession
     rows = [
-        (b, bd.s_lower, bd.s_upper, bd.l_lower, bd.l_upper)
+        (b, fractions.get(b, 0.0), bd.s_lower, bd.s_upper, bd.l_lower, bd.l_upper)
         for b, bd in bounds_by_block.items()
     ]
     block_type = df.schema[block_col].dataType.simpleString()
     return spark.createDataFrame(
         rows,
         schema=(
-            f"{block_col} {block_type}, __s_lower double, __s_upper double,"
-            " __l_lower double, __l_upper double"
+            f"{block_col} {block_type}, __fraction double, __s_lower double,"
+            " __s_upper double, __l_lower double, __l_upper double"
         ),
     )
 
@@ -109,51 +152,35 @@ def sample_region_moments(
 
     Parameters
     ----------
-    fractions : per-block Bernoulli sampling fraction (``sampleBy``); the
-        iid case passes the same rate for every block, the non-iid case
-        passes the blev-derived rates of §VII-C.
-    bounds_by_block : per-block data boundaries.
+    fractions : per-block Bernoulli sampling fraction; the iid case
+        passes the same rate for every block, the non-iid case passes
+        the blev-derived rates of §VII-C. A fraction above 1 samples
+        every row of its block.
+    bounds_by_block : per-block data boundaries; rows of other blocks
+        are not sampled.
 
     Returns a dict with, for every block that produced at least one S or
     L sample, the pair (param_S, param_L); a region with no samples is
     :meth:`RegionMoments.empty`.
     """
-    clipped = {b: min(1.0, max(0.0, f)) for b, f in fractions.items()}
-    sampled = df.sampleBy(block_col, clipped, seed=seed)
-    v = F.col(value_col).cast("double")
-    bounds_df = _bounds_table(df, block_col, bounds_by_block)
-    tagged = (
-        sampled.join(F.broadcast(bounds_df), on=block_col, how="inner")
-        .withColumn("__v", v)
-        .withColumn(
-            "__region",
-            region_column(
-                F.col("__v"),
-                F.col("__s_lower"),
-                F.col("__s_upper"),
-                F.col("__l_lower"),
-                F.col("__l_upper"),
-            ),
-        )
-        .filter(F.col("__region").isin(Region.S.value, Region.L.value))
+    bounds_df = _bounds_table(df, block_col, fractions, bounds_by_block)
+    tagged = df.join(F.broadcast(bounds_df), on=block_col, how="inner")
+    region = region_column(
+        F.col(value_col).cast("double"),
+        F.col("__s_lower"),
+        F.col("__s_upper"),
+        F.col("__l_lower"),
+        F.col("__l_upper"),
     )
-    rows = (
-        tagged.groupBy(block_col, "__region")
-        .agg(
-            F.count("*").alias("n"),
-            F.sum("__v").alias("s1"),
-            F.sum(F.col("__v") ** 2).alias("s2"),
-        )
-        .collect()
+    # All five regions are aggregated: filtering to S∪L before sampling
+    # would change which rows draw, so TS/N/TL are dropped below.
+    moments = sampled_moments(
+        tagged, value_col, F.col("__fraction"), seed, by=(block_col, region)
     )
     out: BlockMoments = {}
-    for r in rows:
-        block = r[block_col]
+    for (block, reg), m in moments.items():
+        if reg not in (Region.S.value, Region.L.value):
+            continue
         m_s, m_l = out.get(block, (RegionMoments.empty(), RegionMoments.empty()))
-        m = RegionMoments(int(r["n"]), float(r["s1"]), float(r["s2"]))
-        if r["__region"] == Region.S.value:
-            m_s = m
-        else:
-            m_l = m
-        out[block] = (m_s, m_l)
+        out[block] = (m, m_l) if reg == Region.S.value else (m_s, m)
     return out

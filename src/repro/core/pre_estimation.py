@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import reduce
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.config import ISLAConfig
+from repro.core.moments import RegionMoments, row_uniform, sampled_moments
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,15 @@ def _pilot_stats(
     fraction: float,
     seed: int,
 ) -> dict:
-    """Per-block count/mean/std of a uniform sample at ``fraction``."""
+    """Per-block count/mean/std of a uniform sample at ``fraction``.
+
+    Spark's ``stddev_samp`` works from central moments, so it stays
+    exact where Σv² − (Σv)²/n from :func:`sampled_moments` would cancel
+    (|mean|/σ ≳ 1e7); this pilot keeps its own aggregate for that.
+    """
     v = F.col(value_col).cast("double")
     rows = (
-        df.sample(fraction=min(1.0, fraction), seed=seed)
+        df.where(row_uniform(seed) < fraction)
         .groupBy(block_col)
         .agg(
             F.count("*").alias("n"),
@@ -117,14 +124,6 @@ def _pilot_stats(
         )
         for r in rows
     }
-
-
-def _weighted(stats: Mapping[object, tuple[float, int]]) -> float:
-    """Sample-count-weighted mean of per-block values."""
-    tot = sum(n for _, n in stats.values())
-    if tot == 0:
-        raise ValueError("pilot sample is empty — increase pilot_n")
-    return sum(val * n for val, n in stats.values()) / tot
 
 
 def pre_estimate(
@@ -172,19 +171,15 @@ def pre_estimate(
     m_sketch = max(1, cfg.sketch_sample_size(sigma))
 
     # Sketch pilot at the relaxed precision t_e·e (§III-B): uniform
-    # samples per block proportional to block size.
+    # samples per block proportional to block size. When m_sketch is 1
+    # (σ̂ = 0, or e ≳ 0.53σ̂) it can come back empty; sketch0 then falls
+    # back to the σ-pilot mean, as the per-block sketches fall back to
+    # sketch0 below.
     sketch_fraction = min(1.0, m_sketch / M)
-    sk_rows = (
-        df.sample(fraction=sketch_fraction, seed=seed + 1)
-        .groupBy(block_col)
-        .agg(
-            F.count("*").alias("n"),
-            F.avg(F.col(value_col).cast("double")).alias("mean"),
-        )
-        .collect()
-    )
-    sketch_by_block = {r[block_col]: float(r["mean"]) for r in sk_rows}
-    sketch0 = _weighted({r[block_col]: (float(r["mean"]), int(r["n"])) for r in sk_rows})
+    sk = sampled_moments(df, value_col, sketch_fraction, seed + 1, by=(block_col,))
+    sketch_by_block = {blk: mo.mean for (blk,), mo in sk.items()}
+    merged = reduce(RegionMoments.merge, sk.values(), RegionMoments.empty())
+    sketch0 = merged.mean if merged.n else mean_hat
 
     # Blocks the sketch pilot happened to miss fall back to the global
     # sketch; same for per-block σ.

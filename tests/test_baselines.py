@@ -153,3 +153,31 @@ class TestMVB:
     def test_invalid_rate(self, sdf):
         with pytest.raises(ValueError):
             mvb_avg(sdf, "v", -0.1, BOUNDS)
+
+
+class TestNulls:
+    """SQL AVG semantics: at rate 1.0 every baseline answers on a
+    null-bearing frame exactly what it answers with the nulls dropped."""
+
+    ESTIMATORS = {
+        "uniform": lambda df: uniform_avg(df, "v", 1.0),
+        "stratified": lambda df: stratified_avg(
+            df, "v", "block", 1.0, round_robin_sizes(60_000, 6)
+        ),
+        "mv": lambda df: mv_avg(df, "v", 1.0),
+        "mvb": lambda df: mvb_avg(df, "v", 1.0, BOUNDS),
+        "mvb_block": lambda df: mvb_block_avgs(df, "v", "block", 1.0, BOUNDS),
+    }
+
+    KEEP = {
+        "half_null": lambda: F.xxhash64("v") % 2 == 0,
+        "block3_all_null": lambda: F.col("block") != 3,
+    }
+
+    @pytest.mark.parametrize("keep", list(KEEP))
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_nulls_equal_nulls_dropped(self, sdf, name, keep):
+        nulled = sdf.select("block", F.when(self.KEEP[keep](), F.col("v")).alias("v"))
+        dropped = nulled.where(F.col("v").isNotNull())
+        est = self.ESTIMATORS[name]
+        assert est(nulled) == pytest.approx(est(dropped), rel=1e-12)

@@ -207,6 +207,23 @@ class TestNulls:
             df.unpersist()
 
 
+
+class TestConstantColumn:
+    def test_empty_sketch_pilot_falls_back(self, spark):
+        """σ̂ = 0 makes m_sketch 1, so the sketch pilot samples at 1/M
+        and often comes back empty; sketch0 then falls back to the
+        σ-pilot mean instead of raising, and the answer is the constant."""
+        df = (
+            spark.range(200_000)
+            .select((F.col("id") % 10).alias("block"), F.lit(7.0).alias("v"))
+            .cache()
+        )
+        try:
+            got = [isla_avg(df, "v", "block", CFG, seed=s).answer for s in range(20)]
+            assert got == [7.0] * 20
+        finally:
+            df.unpersist()
+
 class TestGroundTruthOracle:
     def test_exact_avg_vs_duckdb(self, spark):
         pdf = blocked_normal_pdf(n=30_000, b=3, seed=17)

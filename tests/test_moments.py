@@ -1,10 +1,13 @@
-"""Algorithm 1 (Phase 1) tests: streaming moments + the Spark job.
+"""Phase 1 and the shared sampler: streaming moments, the Spark jobs and
+the one-sampler invariant.
 
 The Spark job at rate 1.0 is deterministic, so its per-block/region
 moments are oracle-diffed against DuckDB computing the same CASE +
 GROUP BY aggregation over identical data.
 """
+import ast
 import math
+from pathlib import Path
 
 import pandas as pd
 import pytest
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
+import repro
 from repro.core.boundaries import DataBoundaries, Region
-from repro.core.moments import RegionMoments, sample_region_moments
+from repro.core.moments import RegionMoments, sample_region_moments, sampled_moments
 from repro.oracle import assert_equivalent
 from repro.synth_data import blocked_normal_pdf
 
@@ -171,3 +175,64 @@ class TestSparkJob:
             sdf, "v", "block", {j: 1.0 for j in range(4)}, bounds
         )
         assert got == full
+
+
+class TestSampledMoments:
+    @pytest.fixture(scope="class")
+    def pdf(self):
+        return blocked_normal_pdf(n=20_000, b=4, seed=22)
+
+    @pytest.fixture(scope="class")
+    def sdf(self, spark, pdf):
+        return spark.createDataFrame(pdf)
+
+    def test_full_rate_is_every_value(self, sdf, pdf):
+        want = RegionMoments.from_values(pdf["v"].tolist())
+        got = sampled_moments(sdf, "v", 1.0, seed=3)[()]
+        assert got.n == want.n
+        assert got.s1 == pytest.approx(want.s1, rel=1e-9)
+        assert got.s2 == pytest.approx(want.s2, rel=1e-9)
+
+    def test_column_fraction_per_group(self, sdf):
+        """A column fraction gives each row its own rate: 0 drops a
+        block, above 1 keeps all of it."""
+        frac = F.when(F.col("block") == 0, 0.0).otherwise(1.5)
+        got = sampled_moments(sdf, "v", frac, seed=3, by=("block",))
+        full = sampled_moments(sdf, "v", 1.0, seed=3, by=("block",))
+        assert set(got) == {(1,), (2,), (3,)}
+        assert all(got[k] == full[k] for k in got)
+
+    def test_empty_global_sample_has_key(self, sdf):
+        got = sampled_moments(sdf.where(F.col("v") > 1e9), "v", 0.5, seed=3)
+        assert got == {(): RegionMoments.empty()}
+
+
+SAMPLERS = {"sample", "sampleBy", "rand"}
+
+
+def test_row_uniform_is_the_only_sampler():
+    """Every sampled Spark job draws through ``row_uniform``: no other
+    ``sample``/``sampleBy``/``rand`` call in the package (the synthetic
+    data generators draw their values with ``rand`` and are exempt)."""
+    pkg = Path(repro.__file__).parent
+    inside, outside = [], []
+    for path in sorted(pkg.rglob("*.py")):
+        if path.name == "synth_data.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {
+            line
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "row_uniform"
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in SAMPLERS:
+                where = f"{path.relative_to(pkg)}:{node.lineno}"
+                (inside if node.lineno in allowed else outside).append(where)
+    assert outside == []
+    assert [w.split(":")[0] for w in inside] == ["core/moments.py"]

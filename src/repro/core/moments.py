@@ -1,13 +1,16 @@
 """The one sampler, and the moments record every sampled estimator reads.
 
 Algorithm 1 (§VI-A) keeps only ``(counter, sum, squareSum)`` per region;
-US, STS, the Eq. (4) re-weighting of MV/MVB and the sketch₀ pilot are
+US, STS, the Eq. (4) re-weighting of MV/MVB and both pilots are
 arithmetic on the same record over a Bernoulli sample. So one job shape,
 :func:`sampled_moments`, serves them all:
 
-    where(row_uniform(seed) < fraction) → groupBy(by).agg(count(v), Σv, Σv²)
+    where(row_uniform(seed) < fraction) → groupBy(by).agg(count(v), avg(v), var_pop(v))
 
-and :func:`row_uniform` alone decides which rows a seed samples.
+and :func:`row_uniform` alone decides which rows a seed samples. The
+record keeps what (counter, sum, squareSum) keeps in centred form,
+``(n, mean, Σ(v − mean)²)``, so its variance stays exact where
+Σv² − (Σv)²/n cancels (|mean|/σ ≳ 1e7).
 
 Phase 1 (:func:`sample_region_moments`) broadcast-joins a bounds table
 holding each block's fraction and boundaries (so the §VII-C non-iid
@@ -15,12 +18,15 @@ extension uses the same job), tags regions, samples, aggregates per
 (block, region) and keeps S and L: 3 numbers per (block, region), the
 "no sample storage" property. Algorithm 1's cube sum feeds only
 Theorem 3's k, which no answer reads (DESIGN.md §2), so it is left out;
-Σv² stays for a confidence interval from the gathered moments.
+the second moment stays for a confidence interval from the gathered
+moments.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -30,15 +36,18 @@ from repro.core.boundaries import DataBoundaries, Region, region_column
 
 @dataclass(frozen=True)
 class RegionMoments:
-    """Counter, sum and square sum of a sample's values.
+    """Counter, mean and centred square sum ``m2 = Σ(v − mean)²`` of a
+    sample's values.
 
     Algorithm 1's param_S / param_L, and the record every sampled
-    estimator reads (:func:`sampled_moments`).
+    estimator reads (:func:`sampled_moments`). It keeps what (counter,
+    sum, squareSum) keeps, in centred form: :attr:`s1` and :attr:`s2`
+    give the sums back.
     """
 
     n: int
-    s1: float
-    s2: float
+    mean: float
+    m2: float
 
     @staticmethod
     def empty() -> "RegionMoments":
@@ -47,28 +56,41 @@ class RegionMoments:
     @staticmethod
     def from_values(values: Iterable[float]) -> "RegionMoments":
         """Driver-side accumulation (the updateParams loop of Alg. 1)."""
-        n, s1, s2 = 0, 0.0, 0.0
-        for a in values:
-            n += 1
-            s1 += a
-            s2 += a * a
-        return RegionMoments(n, s1, s2)
+        return reduce(RegionMoments.add, values, RegionMoments.empty())
 
     def merge(self, other: "RegionMoments") -> "RegionMoments":
-        """Combine two partial records (online-mode extension, §VII-A)."""
+        """Combine two partial records (online-mode extension, §VII-A)
+        by Chan's rule; an empty side returns the other unchanged."""
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        n = self.n + other.n
+        delta = other.mean - self.mean
         return RegionMoments(
-            self.n + other.n,
-            self.s1 + other.s1,
-            self.s2 + other.s2,
+            n,
+            self.mean + delta * other.n / n,
+            self.m2 + other.m2 + delta * delta * self.n * other.n / n,
         )
 
     def add(self, a: float) -> "RegionMoments":
         """updateParams(a, param): streaming single-sample update."""
-        return RegionMoments(self.n + 1, self.s1 + a, self.s2 + a * a)
+        return self.merge(RegionMoments(1, a, 0.0))
 
     @property
-    def mean(self) -> float:
-        return self.s1 / self.n if self.n else 0.0
+    def s1(self) -> float:
+        """Σv."""
+        return self.n * self.mean
+
+    @property
+    def s2(self) -> float:
+        """Σv²."""
+        return self.m2 + self.n * self.mean * self.mean
+
+    @property
+    def std(self) -> float:
+        """Sample standard deviation; 0.0 below two values."""
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
 
 
 #: Per-block result of Phase 1: {block_id: (param_S, param_L)}.
@@ -93,7 +115,7 @@ def sampled_moments(
     seed: int,
     by: Sequence[str | Column] = (),
 ) -> dict[tuple, RegionMoments]:
-    """(count, Σv, Σv²) of the non-null values of a Bernoulli sample.
+    """(count, mean, m2) of the non-null values of a Bernoulli sample.
 
     The sample is the rows where ``row_uniform(seed) < fraction``; a
     column ``fraction`` gives each row its own rate (a rate above 1
@@ -107,12 +129,12 @@ def sampled_moments(
     rows = (
         df.where(row_uniform(seed) < fraction)
         .groupBy(*by)
-        .agg(F.count(v).alias("n"), F.sum(v).alias("s1"), F.sum(v * v).alias("s2"))
+        .agg(F.count(v).alias("n"), F.avg(v).alias("mean"), F.var_pop(v).alias("var"))
         .collect()
     )
     k = len(by)
     return {
-        tuple(r[:k]): RegionMoments(int(r.n), float(r.s1 or 0.0), float(r.s2 or 0.0))
+        tuple(r[:k]): RegionMoments(int(r.n), r.mean or 0.0, (r.var or 0.0) * r.n)
         for r in rows
     }
 

@@ -4,14 +4,17 @@ Two pilot passes over small uniform samples:
 
 1. the σ-pilot (``pilot_n`` rows, proportional per block) estimates the
    overall standard deviation σ̂ (Eq. 1 input) and the per-block σ̂_j used
-   by the §VII-C non-iid extension;
+   by the §VII-C non-iid extension, from the per-block
+   :class:`~repro.core.moments.RegionMoments` of :func:`sampled_moments`
+   (centred, so σ̂ stays exact at any |mean|/σ);
 2. the sketch-pilot, sized by Eq. (1) at the relaxed precision ``t_e·e``
    (i.e. ``m/t_e²`` rows), produces ``sketch0`` globally and per block.
 
 Block sizes |B_j| are treated as metadata the paper assumes known
 ("M could be easily obtained from the meta data"); callers either pass
 them or this module computes them once with a count job. They count the
-non-null values of a block, as SQL ``AVG`` does.
+non-null values of a block, as SQL ``AVG`` does; a block of size 0 holds
+no value and is dropped.
 """
 from __future__ import annotations
 
@@ -24,16 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.config import ISLAConfig
-from repro.core.moments import RegionMoments, row_uniform, sampled_moments
-
-
-@dataclass(frozen=True)
-class BlockPilot:
-    """Per-block statistics from the σ-pilot sample."""
-
-    n: int
-    mean: float
-    std: float
+from repro.core.moments import RegionMoments, sampled_moments
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class PreEstimate:
     m_sketch : sample size used for sketch0 (= m/t_e²).
     block_sizes : |B_j| metadata.
     M : Σ|B_j|.
-    pilot : per-block σ-pilot stats (count/mean/std).
+    pilot : per-block σ-pilot :class:`RegionMoments` (n, mean, m2, std).
     sketch_by_block : per-block sketch estimates (non-iid boundaries).
     sigma_by_block : per-block σ̂_j (non-iid boundaries and blev rates).
     """
@@ -92,40 +86,6 @@ def compute_block_sizes(df: DataFrame, block_col: str) -> dict:
     return {r[block_col]: int(r["count"]) for r in rows}
 
 
-def _pilot_stats(
-    df: DataFrame,
-    value_col: str,
-    block_col: str,
-    fraction: float,
-    seed: int,
-) -> dict:
-    """Per-block count/mean/std of a uniform sample at ``fraction``.
-
-    Spark's ``stddev_samp`` works from central moments, so it stays
-    exact where Σv² − (Σv)²/n from :func:`sampled_moments` would cancel
-    (|mean|/σ ≳ 1e7); this pilot keeps its own aggregate for that.
-    """
-    v = F.col(value_col).cast("double")
-    rows = (
-        df.where(row_uniform(seed) < fraction)
-        .groupBy(block_col)
-        .agg(
-            F.count("*").alias("n"),
-            F.avg(v).alias("mean"),
-            F.stddev_samp(v).alias("std"),
-        )
-        .collect()
-    )
-    return {
-        r[block_col]: BlockPilot(
-            int(r["n"]),
-            float(r["mean"]),
-            float(r["std"]) if r["std"] is not None else 0.0,
-        )
-        for r in rows
-    }
-
-
 def pre_estimate(
     df: DataFrame,
     value_col: str,
@@ -137,12 +97,16 @@ def pre_estimate(
 ) -> PreEstimate:
     """Run the Pre-estimation module (§III-A, §III-B).
 
-    Null values are dropped first, as SQL ``AVG`` drops them: |B_j|, the
-    pilot counts and so every block weight count values, not rows.
+    Blocks of size 0 in ``block_sizes`` are dropped first: they hold no
+    value, so they carry no weight and get no partial. Null values are
+    dropped next, as SQL ``AVG`` drops them: |B_j|, the pilot counts and
+    so every block weight count values, not rows.
     """
+    if block_sizes is not None and min(block_sizes.values(), default=0) < 0:
+        raise ValueError("block sizes must be non-negative")
     df = df.where(F.col(value_col).isNotNull())
     sizes = (
-        dict(block_sizes)
+        {blk: size for blk, size in block_sizes.items() if size}
         if block_sizes is not None
         else compute_block_sizes(df, block_col)
     )
@@ -154,7 +118,12 @@ def pre_estimate(
     # uniform fraction (proportional allocation is automatic).
     b = len(sizes)
     pilot_fraction = min(1.0, max(cfg.pilot_n, 30 * b) / M)
-    pilot = _pilot_stats(df, value_col, block_col, pilot_fraction, seed)
+    pilot = {
+        blk: mo
+        for (blk,), mo in sampled_moments(
+            df, value_col, pilot_fraction, seed, by=(block_col,)
+        ).items()
+    }
     if not pilot:
         raise ValueError("pilot sample is empty — increase pilot_n")
     # Pooled σ̂: combine per-block second moments around the global mean.

@@ -1,12 +1,10 @@
-"""Shared experiment plumbing: caching, block sizes, ground truth and
-table formatting."""
+"""Shared experiment plumbing: caching, block sizes and table formatting."""
 from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import contextmanager
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @contextmanager
@@ -27,12 +25,6 @@ def round_robin_sizes(n: int, b: int) -> dict[int, int]:
     block sizes come from the catalog, and skips a count job.
     """
     return {j: (n - j + b - 1) // b for j in range(b)}
-
-
-def exact_avg(df: DataFrame, value_col: str) -> float:
-    """Ground-truth AVG by full scan (the paper's golden truth)."""
-    row = df.agg(F.avg(F.col(value_col).cast("double")).alias("avg")).first()
-    return float(row["avg"])
 
 
 def fmt_table(headers: list[str], rows: list[list]) -> str:

@@ -4,7 +4,7 @@ from pyspark.sql import functions as F
 
 from repro.core import ISLAConfig, isla_avg
 from repro.core.isla import summarize
-from repro.experiments.runner import exact_avg, round_robin_sizes
+from repro.experiments.runner import round_robin_sizes
 from repro.oracle import assert_equivalent
 from repro.synth_data import (
     blocked_exponential,
@@ -16,6 +16,11 @@ from repro.synth_data import (
 
 N, B = 120_000, 10
 CFG = ISLAConfig(e=0.5)
+
+
+def exact_avg(df, value_col: str) -> float:
+    """Ground-truth AVG by full scan (the paper's golden truth)."""
+    return df.agg(F.avg(value_col)).first()[0]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,30 @@ class TestNonIID:
             assert err_block1 > 10.0
         finally:
             df.unpersist()
+
+
+class TestZeroSizeBlocks:
+    """A block of size 0 in the metadata (``round_robin_sizes(n, b)``
+    gives some when n < b) holds no value: it carries no weight, gets no
+    partial and leaves the answer as it is without it."""
+
+    @pytest.mark.parametrize("non_iid", [False, True], ids=["iid", "non_iid"])
+    def test_zero_size_block_changes_nothing(self, normal_df, non_iid):
+        sizes = round_robin_sizes(N, B)
+        got, want = (
+            isla_avg(
+                normal_df, "v", "block", CFG,
+                non_iid=non_iid, block_sizes=s, seed=3,
+            )
+            for s in ({**sizes, 99: 0}, sizes)
+        )
+        assert got.answer == want.answer
+        assert set(got.blocks) == set(sizes)
+
+    def test_negative_size_rejected(self, normal_df):
+        sizes = {**round_robin_sizes(N, B), 0: -1}
+        with pytest.raises(ValueError, match="non-negative"):
+            isla_avg(normal_df, "v", "block", CFG, block_sizes=sizes)
 
 
 class TestNulls:

@@ -9,6 +9,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from pyspark.sql import functions as F
 
 import repro
 from repro.core.boundaries import DataBoundaries, Region
+from repro.core.config import ISLAConfig
 from repro.core.moments import RegionMoments, sample_region_moments, sampled_moments
+from repro.core.pre_estimation import pre_estimate
 from repro.oracle import assert_equivalent
 from repro.synth_data import blocked_normal_pdf
 
@@ -58,6 +61,28 @@ class TestRegionMoments:
 
     def test_mean(self):
         assert RegionMoments.from_values([2.0, 4.0]).mean == 3.0
+
+    def test_std(self):
+        assert RegionMoments.from_values([2.0, 4.0, 9.0]).std == pytest.approx(
+            np.std([2.0, 4.0, 9.0], ddof=1), rel=1e-12
+        )
+        assert RegionMoments.from_values([5.0]).std == 0.0
+        assert RegionMoments.empty().std == 0.0
+
+    def test_merge_with_empty_is_exact(self):
+        m = RegionMoments.from_values([0.1, 0.7, 1e9])
+        assert m.merge(RegionMoments.empty()) == m
+        assert RegionMoments.empty().merge(m) == m
+
+    def test_merged_variance_is_exact_at_large_mean(self):
+        """Centred moments keep the variance where Σv² − (Σv)²/n cancels
+        (|mean|/σ ≈ 1e9 here): merged halves give numpy's sample std."""
+        vals = 1e9 + np.random.default_rng(0).standard_normal(2_000)
+        merged = RegionMoments.from_values(vals[:1_000]).merge(
+            RegionMoments.from_values(vals[1_000:])
+        )
+        assert merged.n == 2_000
+        assert merged.std == pytest.approx(np.std(vals, ddof=1), rel=1e-6)
 
 
 class TestSparkJob:
@@ -207,7 +232,41 @@ class TestSampledMoments:
         assert got == {(): RegionMoments.empty()}
 
 
+class TestLargeMean:
+    """N(1e9, 20²) in 4 blocks: the Spark aggregate and the σ-pilot built
+    on it keep σ exact where power sums would lose it to cancellation."""
+
+    @pytest.fixture(scope="class")
+    def pdf(self):
+        return blocked_normal_pdf(n=200_000, b=4, mu=1e9, sigma=20.0, seed=3)
+
+    @pytest.fixture(scope="class")
+    def sdf(self, spark, pdf):
+        return spark.createDataFrame(pdf)
+
+    def test_block_std_matches_pandas(self, sdf, pdf):
+        got = sampled_moments(sdf, "v", 1.0, 0, by=("block",))
+        want = pdf.groupby("block")["v"].std()
+        assert {k for (k,) in got} == set(want.index)
+        for (blk,), mo in got.items():
+            assert mo.std == pytest.approx(want[blk], rel=1e-6)
+
+    def test_sigma_pilot(self, sdf):
+        pre = pre_estimate(sdf, "v", "block", ISLAConfig(e=0.5), seed=1)
+        assert pre.sigma == pytest.approx(20.0, rel=0.1)
+
+
 SAMPLERS = {"sample", "sampleBy", "rand"}
+
+
+def _function_lines(tree: ast.AST, name: str) -> set[int]:
+    """The source lines of the function ``name`` defined in ``tree``."""
+    return {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
 
 
 def test_row_uniform_is_the_only_sampler():
@@ -220,12 +279,7 @@ def test_row_uniform_is_the_only_sampler():
         if path.name == "synth_data.py":
             continue
         tree = ast.parse(path.read_text())
-        allowed = {
-            line
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "row_uniform"
-            for line in range(node.lineno, node.end_lineno + 1)
-        }
+        allowed = _function_lines(tree, "row_uniform")
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -236,3 +290,43 @@ def test_row_uniform_is_the_only_sampler():
                 (inside if node.lineno in allowed else outside).append(where)
     assert outside == []
     assert [w.split(":")[0] for w in inside] == ["core/moments.py"]
+
+
+def _is_aggregate(name: str) -> bool:
+    return name in {"avg", "mean", "sum", "count"} or name.startswith(("stddev", "var"))
+
+
+def test_sampled_moments_is_the_only_aggregate():
+    """Every sampled estimator reads the one moments record: no
+    ``pyspark.sql.functions`` aggregate is called in ``core`` or
+    ``baselines`` outside ``sampled_moments``. A grouped ``.count()``,
+    as the block-size job uses, is not a ``functions`` call."""
+    pkg = Path(repro.__file__).parent
+    inside, outside = [], []
+    for path in sorted([*pkg.glob("core/*.py"), *pkg.glob("baselines/*.py")]):
+        tree = ast.parse(path.read_text())
+        modules, names = {"pyspark.sql.functions"}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "pyspark.sql":
+                modules |= {a.asname or a.name for a in node.names if a.name == "functions"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "pyspark.sql.functions":
+                names |= {a.asname or a.name for a in node.names if _is_aggregate(a.name)}
+            elif isinstance(node, ast.Import):
+                modules |= {
+                    a.asname for a in node.names
+                    if a.name == "pyspark.sql.functions" and a.asname
+                }
+        allowed = _function_lines(tree, "sampled_moments")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (
+                isinstance(f, ast.Attribute)
+                and ast.unparse(f.value) in modules
+                and _is_aggregate(f.attr)
+            ) or (isinstance(f, ast.Name) and f.id in names):
+                where = f"{path.relative_to(pkg)}:{node.lineno}"
+                (inside if node.lineno in allowed else outside).append(where)
+    assert outside == []
+    assert {w.split(":")[0] for w in inside} == {"core/moments.py"}

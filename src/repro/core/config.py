@@ -2,12 +2,14 @@
 
 Defaults follow §VIII "Parameters" where the paper gives values
 (e=0.1, β=0.95, λ=0.8, p1=0.5, p2=2.0, η=0.5) and DESIGN.md §2 where it
-does not (t_e, thr, pilot size, the Case-5 band). The §VIII q′ bands feed
-no answer; they live beside the explicit leverage path in
-:mod:`repro.core.leverage`.
+does not (t_e, thr). Values no caller tunes are constants beside the code
+that reads them: the σ-pilot size (``pre_estimation.PILOT_N``), the Case-5
+band (``iteration.DEV_CASE5``) and the §VIII q′ bands, which feed no answer
+(``leverage.DEV_Q1``/``DEV_Q5``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -35,7 +37,7 @@ def required_sample_size(sigma: float, e: float, beta: float) -> int:
 
 @dataclass(frozen=True)
 class ISLAConfig:
-    """All knobs of the ISLA system, one immutable record.
+    """The paper's parameters (Table I), one immutable record.
 
     Attributes
     ----------
@@ -47,17 +49,9 @@ class ISLAConfig:
         ``sketch0 ± p1·σ`` and ``sketch0 ± p2·σ``.
     t_e : relaxed-precision parameter for sketch0 (§III-B); the sketch
         pilot targets precision ``t_e·e`` so its sample is m/t_e².
-    thr : iteration threshold — stop when |D| ≤ thr (§V-D). The paper
-        gives no default; e/100 makes the residual negligible vs e.
-    pilot_n : size of the small pilot set for σ̂ (§III-A); the paper's
-        §VIII-G uses 1000.
-    dev_case5 : band of dev=|S|/|L| treated as |S| ≈ |L| → return sketch0
-        (Case 5). The paper suggests "(0.99, 1.01)".
-    clamp_to_sketch_ci : clamp each partial answer to
-        ``sketch0 ± t_e·e`` — the §VII-B modulation boundary.
-    case3_literal : use the literal §V-C Case-3 reading (both estimators
-        move up, extrapolating past the leader). Off by default; see
-        DESIGN.md §2.
+    thr : iteration threshold — stop when |D| ≤ thr (§V-D); positive and
+        finite. The paper gives no default; e/100 makes the residual
+        negligible vs e.
     """
 
     e: float = 0.1
@@ -68,14 +62,10 @@ class ISLAConfig:
     p2: float = 2.0
     t_e: float = 3.0
     thr: float | None = None
-    pilot_n: int = 1000
-    dev_case5: tuple[float, float] = (0.99, 1.01)
-    clamp_to_sketch_ci: bool = True
-    case3_literal: bool = False
 
     def __post_init__(self) -> None:
-        if self.e <= 0:
-            raise ValueError(f"e must be positive, got {self.e}")
+        if not 0.0 < self.e < math.inf:
+            raise ValueError(f"e must be positive and finite, got {self.e}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
         if not 0.0 < self.lam < 1.0:
@@ -86,11 +76,10 @@ class ISLAConfig:
             )
         if self.t_e <= 1.0:
             raise ValueError(f"t_e must exceed 1, got {self.t_e}")
-
-    @property
-    def z(self) -> float:
-        """The confidence quantile u for β."""
-        return z_score(self.beta)
+        # Algorithm 2 stops once |D| ≤ thr (e/100 by default): never for
+        # thr < 0, only by underflow for thr = 0, and at once for NaN.
+        if self.thr is not None and not 0.0 < self.thr < math.inf:
+            raise ValueError(f"thr must be positive and finite, got {self.thr}")
 
     @property
     def threshold(self) -> float:

@@ -24,6 +24,7 @@ Modes:
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -45,7 +46,6 @@ class ISLAResult:
     pre: PreEstimate = field(repr=False)
     blocks: dict = field(repr=False)  # {block: BlockAnswer}
     rate_used: float
-    config: ISLAConfig = field(repr=False)
 
     @property
     def partials(self) -> dict:
@@ -86,8 +86,9 @@ def isla_avg(
     value_col : numeric column to average.
     block_col : column identifying the storage block (§II-C).
     cfg : ISLA parameters; defaults to :class:`ISLAConfig`.
-    rate_factor : multiplier on the Eq. (1) rate for the main phase
-        (e.g. 1/3 for the Table V evaluation).
+    rate_factor : positive, finite multiplier on the Eq. (1) rate for the
+        main phase (e.g. 1/3 for the Table V evaluation); above 1 it
+        oversamples, each block's fraction capped at all of its rows.
     non_iid : enable the §VII-C extension (per-block boundaries + blev
         sampling rates).
     block_sizes : |B_j| metadata, the number of non-null values of
@@ -96,6 +97,8 @@ def isla_avg(
         same pilot, as in the paper's comparisons).
     seed : sampling seed (pilot seeds derive from it).
     """
+    if not 0.0 < rate_factor < math.inf:
+        raise ValueError(f"rate_factor must be positive and finite, got {rate_factor}")
     cfg = cfg or ISLAConfig()
     if pre is None:
         pre = pre_estimate(
@@ -111,12 +114,10 @@ def isla_avg(
             )
             for b in pre.block_sizes
         }
-        sketch_for = {b: pre.sketch_by_block[b] for b in pre.block_sizes}
         fractions = pre.blev_fractions(rate_factor)
     else:
         g = DataBoundaries(pre.sketch0, pre.sigma, cfg.p1, cfg.p2)
         bounds = {b: g for b in pre.block_sizes}
-        sketch_for = {b: pre.sketch0 for b in pre.block_sizes}
         fractions = pre.uniform_fractions(pre.rate * rate_factor)
 
     moments = sample_region_moments(
@@ -126,7 +127,7 @@ def isla_avg(
     blocks: dict[object, BlockAnswer] = {}
     for b in pre.block_sizes:
         m_s, m_l = moments.get(b, (RegionMoments.empty(), RegionMoments.empty()))
-        blocks[b] = modulate_block(m_s, m_l, sketch_for[b], cfg)
+        blocks[b] = modulate_block(m_s, m_l, bounds[b].sketch0, cfg)
 
     answer = summarize({b: a.partial for b, a in blocks.items()}, pre.block_sizes)
     return ISLAResult(
@@ -135,5 +136,4 @@ def isla_avg(
         pre=pre,
         blocks=blocks,
         rate_used=pre.rate * rate_factor,
-        config=cfg,
     )

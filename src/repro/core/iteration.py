@@ -2,14 +2,14 @@
 
 Per block, given param_S/param_L and sketch0:
 
-1. **Case 5** — ``dev = |S|/|L| ≈ 1``: sketch0 is already the data
-   division optimum, return it (Alg. 2 lines 1–4).
+1. **Case 5** — ``dev = |S|/|L|`` inside :data:`DEV_CASE5`: sketch0 is
+   already the data division optimum, return it (Alg. 2 lines 1–4).
 2. ``D⁰ = c − sketch0`` with c the uniform S∪L mean (Theorem 3's f(0));
    classify into Cases 1–4 from ``sign(D⁰)`` and ``|S| vs |L|`` (§V-B/C).
 3. Algorithm 2 then shrinks |D| by η per round, the two estimators
    taking steps in the ratio λ per the case's strategy, until |D| ≤ thr.
    After n rounds the steps sum to ``|D⁰|·g`` with ``g = 1 − ηⁿ``, so the
-   block answer is stated directly:
+   block answer is stated directly (:func:`algorithm2`):
 
    * Cases 2/3 (consistent indicators, the common path): the estimators
      move toward each other, the l-estimator taking the λ-shorter step:
@@ -17,14 +17,13 @@ Per block, given param_S/param_L and sketch0:
    * Cases 1/4 (unbalanced sampling, rare): both move the same way, the
      l-estimator taking the λ-longer step past sketch0 toward μ
      (Theorem 1's second picture): ``c − D⁰·g/(1−λ)``.
-   * ``case3_literal=True`` reproduces §V-C Case 3 verbatim (both up,
-     ``kδα = λ·δsketch``): ``c + D⁰·g·λ/(1−λ)``, past c by λ/(1−λ)× the gap.
+4. :func:`modulate_block` clamps that answer to the sketch confidence
+   interval ``sketch0 ± t_e·e`` — the modulation boundary of §VII-B.
 
 The answer never reads Theorem 3's k, the leverage allocating parameter
 q or α; those stay in :mod:`repro.core.leverage` as paper-fidelity
-diagnostics (DESIGN.md §2). Answers are optionally clamped to the sketch
-confidence interval ``sketch0 ± t_e·e`` — the modulation boundary of
-§VII-B.
+diagnostics. The literal §V-C Case-3 reading, which DESIGN.md §2 rejects,
+is kept only as a test reference.
 """
 from __future__ import annotations
 
@@ -33,6 +32,10 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import ISLAConfig
 from repro.core.moments import RegionMoments
+
+#: Band of dev = |S|/|L| treated as |S| ≈ |L| → return sketch0 (Case 5);
+#: the paper suggests "(0.99, 1.01)".
+DEV_CASE5 = (0.99, 1.01)
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,13 @@ def iteration_upper_bound(d0: float, thr: float, eta: float = 0.5) -> int:
     return n
 
 
-def _answer(
+def algorithm2(
     m_s: RegionMoments,
     m_l: RegionMoments,
     sketch0: float,
     cfg: ISLAConfig,
 ) -> BlockAnswer:
-    """Algorithm 2 on one block (unclamped)."""
+    """Algorithm 2's answer on one block, before the §VII-B clamp."""
     u, v = m_s.n, m_l.n
     if u == 0 or v == 0:
         # One side of the distribution produced no samples — the data
@@ -87,8 +90,7 @@ def _answer(
         return BlockAnswer(sketch0, 5, math.inf if v == 0 else 0.0,
                            u, v, 0.0, 0.0, 0, False)
     dev = u / v
-    lo, hi = cfg.dev_case5
-    if lo < dev < hi:
+    if DEV_CASE5[0] < dev < DEV_CASE5[1]:
         return BlockAnswer(sketch0, 5, dev, u, v, 0.0, 0.0, 0, False)
 
     c = (m_s.s1 + m_l.s1) / (u + v)
@@ -102,8 +104,6 @@ def _answer(
     g = 1.0 - cfg.eta**iters
     if case in (1, 4):
         partial = c - d0 * g / (1.0 - lam)
-    elif case == 3 and cfg.case3_literal:
-        partial = c + d0 * g * lam / (1.0 - lam)
     else:
         partial = c - d0 * g * lam / (1.0 + lam)
     return BlockAnswer(partial, case, dev, u, v, c, d0, iters, False)
@@ -115,10 +115,8 @@ def modulate_block(
     sketch0: float,
     cfg: ISLAConfig,
 ) -> BlockAnswer:
-    """Phase 2 with the §VII-B sketch-confidence clamp applied."""
-    ans = _answer(m_s, m_l, sketch0, cfg)
-    if not cfg.clamp_to_sketch_ci:
-        return ans
+    """Phase 2: :func:`algorithm2` clamped to ``sketch0 ± t_e·e`` (§VII-B)."""
+    ans = algorithm2(m_s, m_l, sketch0, cfg)
     radius = cfg.t_e * cfg.e
     lo, hi = sketch0 - radius, sketch0 + radius
     if ans.partial < lo or ans.partial > hi:

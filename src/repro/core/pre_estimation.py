@@ -2,7 +2,7 @@
 
 Two pilot passes over small uniform samples:
 
-1. the σ-pilot (``pilot_n`` rows, proportional per block) estimates the
+1. the σ-pilot (:data:`PILOT_N` rows, proportional per block) estimates the
    overall standard deviation σ̂ (Eq. 1 input) and the per-block σ̂_j used
    by the §VII-C non-iid extension, from the per-block
    :class:`~repro.core.moments.RegionMoments` of :func:`sampled_moments`
@@ -28,6 +28,9 @@ from pyspark.sql import functions as F
 
 from repro.core.config import ISLAConfig
 from repro.core.moments import RegionMoments, sampled_moments
+
+#: Size of the small σ-pilot set (§III-A); §VIII-G uses 1000 samples.
+PILOT_N = 1000
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,10 @@ def pre_estimate(
         raise ValueError("input has no blocks")
     M = sum(sizes.values())
 
-    # σ-pilot: ~pilot_n rows overall, proportional per block via a single
+    # σ-pilot: ~PILOT_N rows overall, proportional per block via a single
     # uniform fraction (proportional allocation is automatic).
     b = len(sizes)
-    pilot_fraction = min(1.0, max(cfg.pilot_n, 30 * b) / M)
+    pilot_fraction = min(1.0, max(PILOT_N, 30 * b) / M)
     pilot = {
         blk: mo
         for (blk,), mo in sampled_moments(
@@ -125,7 +128,7 @@ def pre_estimate(
         ).items()
     }
     if not pilot:
-        raise ValueError("pilot sample is empty — increase pilot_n")
+        raise ValueError("pilot sample is empty")
     # Pooled σ̂: combine per-block second moments around the global mean.
     n_tot = sum(p.n for p in pilot.values())
     mean_hat = sum(p.mean * p.n for p in pilot.values()) / n_tot

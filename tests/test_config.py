@@ -1,5 +1,7 @@
 """Unit tests for repro.core.config (Eq. (1), quantiles)."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,13 @@ class TestISLAConfigValidation:
             {"p1": 2.0, "p2": 1.0},
             {"t_e": 1.0},
             {"t_e": 0.5},
+            {"e": math.nan},
+            {"e": math.inf},
+            # Algorithm 2 would never stop, stop by underflow, or not start.
+            {"thr": -1.0},
+            {"thr": 0.0},
+            {"thr": math.nan},
+            {"thr": math.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

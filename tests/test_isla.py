@@ -1,4 +1,6 @@
 """End-to-end ISLA integration tests (Spark)."""
+import math
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -212,6 +214,15 @@ class TestZeroSizeBlocks:
         sizes = {**round_robin_sizes(N, B), 0: -1}
         with pytest.raises(ValueError, match="non-negative"):
             isla_avg(normal_df, "v", "block", CFG, block_sizes=sizes)
+
+
+class TestRateFactor:
+    @pytest.mark.parametrize("rate_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_rate_factor_rejected(self, normal_df, rate_factor):
+        """A factor ≤ 0 samples no S/L rows, so every block would be Case 5;
+        NaN samples every row, since min(1.0, nan) is 1.0."""
+        with pytest.raises(ValueError, match="rate_factor"):
+            isla_avg(normal_df, "v", "block", CFG, rate_factor=rate_factor)
 
 
 class TestNulls:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import ISLAConfig
 from repro.core.iteration import (
+    DEV_CASE5,
+    algorithm2,
     classify_case,
     iteration_upper_bound,
     modulate_block,
@@ -115,7 +117,7 @@ class TestInteriorMeeting:
 
     def _run(self, u, v, sketch0, cfg=CFG):
         m_s, m_l = synthetic_moments(u, v)
-        ans = modulate_block(m_s, m_l, sketch0, cfg.with_(clamp_to_sketch_ci=False))
+        ans = algorithm2(m_s, m_l, sketch0, cfg)
         return ans, sl_mean(m_s, m_l)
 
     def test_case2_meets_lambda_weighted_point(self):
@@ -139,10 +141,10 @@ class TestInteriorMeeting:
     )
     @settings(max_examples=50, deadline=None)
     def test_case3_answer_between_estimators(self, sketch0, lam):
-        cfg = CFG.with_(lam=lam, clamp_to_sketch_ci=False)
+        cfg = CFG.with_(lam=lam)
         m_s, m_l = synthetic_moments(1000, 1150)
         c = sl_mean(m_s, m_l)
-        ans = modulate_block(m_s, m_l, sketch0, cfg)
+        ans = algorithm2(m_s, m_l, sketch0, cfg)
         assert ans.case == 3
         assert sketch0 - 1e-9 <= ans.partial <= c + 1e-9
 
@@ -151,7 +153,7 @@ class TestInteriorMeeting:
         (the S∪L mean) moved by the modulation kα, which in Case 3 goes
         from c toward sketch0 without passing it."""
         m_s, m_l = synthetic_moments(1000, 1150)
-        ans = modulate_block(m_s, m_l, 95.0, CFG.with_(clamp_to_sketch_ci=False))
+        ans = algorithm2(m_s, m_l, 95.0, CFG)
         assert ans.case == 3
         assert ans.c == sl_mean(m_s, m_l)
         assert ans.d0 == ans.c - 95.0
@@ -159,7 +161,7 @@ class TestInteriorMeeting:
 
     def test_iters_within_upper_bound(self):
         m_s, m_l = synthetic_moments(1000, 1150)
-        ans = modulate_block(m_s, m_l, 95.0, CFG.with_(clamp_to_sketch_ci=False))
+        ans = algorithm2(m_s, m_l, 95.0, CFG)
         assert 0 < ans.iters == iteration_upper_bound(ans.d0, CFG.threshold)
 
 
@@ -170,16 +172,14 @@ class TestUnbalancedCases:
         # |S| < |L| (μ above sketch0) yet c < sketch0: unbalanced.
         m_s, m_l = synthetic_moments(1000, 1300, mean_s=70.0, mean_l=110.0)
         sketch0 = sl_mean(m_s, m_l) + 0.05  # slightly above c → D0 < 0
-        cfg = CFG.with_(clamp_to_sketch_ci=False)
-        ans = modulate_block(m_s, m_l, sketch0, cfg)
+        ans = algorithm2(m_s, m_l, sketch0, CFG)
         assert ans.case == 1
         assert ans.partial > sketch0
 
     def test_case4_extrapolates_below_sketch0(self):
         m_s, m_l = synthetic_moments(1300, 1000, mean_s=90.0, mean_l=130.0)
         sketch0 = sl_mean(m_s, m_l) - 0.05  # slightly below c → D0 > 0
-        cfg = CFG.with_(clamp_to_sketch_ci=False)
-        ans = modulate_block(m_s, m_l, sketch0, cfg)
+        ans = algorithm2(m_s, m_l, sketch0, CFG)
         assert ans.case == 4
         assert ans.partial < sketch0
 
@@ -189,7 +189,7 @@ class TestUnbalancedCases:
         # lies below c.
         m_s, m_l = synthetic_moments(1300, 1000, mean_s=90.0, mean_l=130.0)
         c = sl_mean(m_s, m_l)
-        ans = modulate_block(m_s, m_l, c - 0.05, CFG.with_(clamp_to_sketch_ci=False))
+        ans = algorithm2(m_s, m_l, c - 0.05, CFG)
         assert ans.case == 4
         assert ans.partial < c
 
@@ -206,9 +206,7 @@ class TestClamp:
     def test_clamp_flag_reported(self):
         m_s, m_l = synthetic_moments(1000, 2000, mean_s=60.0, mean_l=150.0)
         ans = modulate_block(m_s, m_l, 80.0, CFG)
-        unclamped = modulate_block(
-            m_s, m_l, 80.0, CFG.with_(clamp_to_sketch_ci=False)
-        )
+        unclamped = algorithm2(m_s, m_l, 80.0, CFG)
         if abs(unclamped.partial - 80.0) > CFG.t_e * CFG.e:
             assert ans.clamped and not unclamped.clamped
 
@@ -222,38 +220,33 @@ class TestLiteralCase3:
     def test_literal_mode_extrapolates_past_c(self):
         """§V-C verbatim Case 3: both up ⇒ meeting point beyond c by
         (λ/(1−λ))·D⁰ — the amplification DESIGN.md §2 documents."""
-        cfg = CFG.with_(case3_literal=True, clamp_to_sketch_ci=False)
         m_s, m_l = synthetic_moments(1000, 1150)
         c = sl_mean(m_s, m_l)
         sketch0 = c - 0.2
-        ans = modulate_block(m_s, m_l, sketch0, cfg)
-        assert ans.case == 3
+        partial, case, _, _ = _reference_modulate(
+            m_s, m_l, sketch0, CFG, literal=True, clamp=False
+        )
+        assert case == 3
         d0 = c - sketch0
-        want = c + (cfg.lam / (1 - cfg.lam)) * d0
-        assert ans.partial == pytest.approx(want, abs=5 * CFG.threshold)
-        assert ans.partial > c
-
-    def test_literal_mode_is_clamped_by_default_config(self):
-        cfg = CFG.with_(case3_literal=True)
-        m_s, m_l = synthetic_moments(1000, 1150)
-        c = sl_mean(m_s, m_l)
-        ans = modulate_block(m_s, m_l, c - 0.2, cfg)
-        assert ans.partial <= (c - 0.2) + cfg.t_e * cfg.e + 1e-12
+        want = c + (CFG.lam / (1 - CFG.lam)) * d0
+        assert partial == pytest.approx(want, abs=5 * CFG.threshold)
+        assert partial > c
 
 
-def _reference_modulate(m_s, m_l, sketch0, cfg):
+def _reference_modulate(m_s, m_l, sketch0, cfg, *, literal=False, clamp=True):
     """The iterative Algorithm 2 that ``modulate_block`` replaced, kept as
     the reference: returns (partial, case, iters, clamped).
 
     It stepped the sketch and the leverage modulation t = kα round by
     round; Theorem 3's k only rescaled α = t/k and never entered avg.
+    ``literal`` takes §V-C Case 3 verbatim (both estimators up), the
+    reading DESIGN.md §2 rejects; ``clamp`` applies the §VII-B clamp.
     """
     u, v = m_s.n, m_l.n
     if u == 0 or v == 0:
         return sketch0, 5, 0, False
     dev = u / v
-    lo, hi = cfg.dev_case5
-    if lo < dev < hi:
+    if DEV_CASE5[0] < dev < DEV_CASE5[1]:
         return sketch0, 5, 0, False
     c = (m_s.s1 + m_l.s1) / (u + v)
     d0 = c - sketch0
@@ -275,7 +268,7 @@ def _reference_modulate(m_s, m_l, sketch0, cfg):
             sketch -= ds
             t += dt
         elif case == 3:
-            if cfg.case3_literal:
+            if literal:
                 ds = delta / (1.0 - lam)
                 dt = lam * ds
                 sketch += ds
@@ -298,7 +291,7 @@ def _reference_modulate(m_s, m_l, sketch0, cfg):
         d *= eta
         iters += 1
     avg = c + t
-    if cfg.clamp_to_sketch_ci:
+    if clamp:
         radius = cfg.t_e * cfg.e
         lo, hi = sketch0 - radius, sketch0 + radius
         if avg < lo or avg > hi:
@@ -308,7 +301,8 @@ def _reference_modulate(m_s, m_l, sketch0, cfg):
 
 @st.composite
 def loop_inputs(draw):
-    """A block's S/L moments, a sketch0 and a config for the loop test.
+    """A block's S/L moments, a sketch0, a config and whether to clamp,
+    for the loop test.
 
     c is a multiple of 2⁻¹⁰, so with thr = 2⁻¹⁰ and η = 0.5 the drawn
     |D⁰|/thr = 2ᵏ is exact and the loop stops exactly at |D| = thr. Both
@@ -332,21 +326,22 @@ def loop_inputs(draw):
         eta=eta,
         lam=draw(st.sampled_from([0.2, 0.5, 0.8])),
         thr=thr,
-        clamp_to_sketch_ci=draw(st.booleans()),
-        case3_literal=draw(st.booleans()),
     )
-    return m_s, m_l, sketch0, cfg
+    return m_s, m_l, sketch0, cfg, draw(st.booleans())
 
 
 class TestClosedFormMatchesLoop:
-    """The closed form equals the iterative Algorithm 2 (DESIGN.md §2)."""
+    """The closed form equals the iterative Algorithm 2 (DESIGN.md §2):
+    ``modulate_block`` with the clamp, ``algorithm2`` without it."""
 
     @given(loop_inputs())
     @settings(max_examples=1000, deadline=None)
     def test_same_case_iters_and_partial(self, inputs):
-        m_s, m_l, sketch0, cfg = inputs
-        want, case, iters, clamped = _reference_modulate(m_s, m_l, sketch0, cfg)
-        ans = modulate_block(m_s, m_l, sketch0, cfg)
+        m_s, m_l, sketch0, cfg, clamp = inputs
+        want, case, iters, clamped = _reference_modulate(
+            m_s, m_l, sketch0, cfg, clamp=clamp
+        )
+        ans = (modulate_block if clamp else algorithm2)(m_s, m_l, sketch0, cfg)
         assert (ans.case, ans.iters, ans.clamped) == (case, iters, clamped)
         # Relative to the operands' scale: the loop sums n rounded steps.
         scale = max(abs(want), abs(ans.c), abs(sketch0))

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.leverage import (
@@ -154,12 +154,18 @@ class TestLeverageProperties:
         assert c == pytest.approx((sum(xs) + sum(ys)) / (len(xs) + len(ys)))
 
     @given(pos_values, pos_values)
+    @example([1.0], [9989.0, 9998.5, 9999.999999999998])
     @settings(max_examples=100, deadline=None)
     def test_order_insensitive(self, xs, ys):
-        """The sampling-sequence insensitivity claim (§V-A)."""
+        """The sampling-sequence insensitivity claim (§V-A).
+
+        k = term_x + term_y − c cancels: in the pinned example c ≈ 7497
+        while k ≈ 0.0036, so a few ulps of rounding in the sums move k by
+        ~1e-9 of itself. The bound is on the operands' scale.
+        """
         k1, c1 = kc(xs, ys, 1.0)
         k2, c2 = kc(list(reversed(xs)), list(reversed(ys)), 1.0)
-        assert k1 == pytest.approx(k2, rel=1e-9, abs=1e-12)
+        assert k1 == pytest.approx(k2, rel=1e-9, abs=1e-12 * max(xs + ys))
         assert c1 == pytest.approx(c2, rel=1e-9)
 
 

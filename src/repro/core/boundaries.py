@@ -11,8 +11,10 @@ parameters p1 < p2 (defaults 0.5 / 2.0):
 
 Both a plain-Python classifier (driver-side math, tests) and a Spark
 ``Column`` classifier (Algorithm 1's distributed tagging) are provided.
-The Spark variant takes the bound *columns*, so per-block boundaries
-(§VII-C non-iid extension) work by broadcast-joining a bounds table.
+The Spark variant takes the bound *columns*: literals when every block
+shares one set of boundaries (the base algorithm, and MV/MVB), columns of
+a broadcast-joined bounds table for per-block boundaries (§VII-C non-iid
+extension).
 """
 from __future__ import annotations
 

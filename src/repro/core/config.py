@@ -42,13 +42,14 @@ class ISLAConfig:
     Attributes
     ----------
     e : desired precision (half-width of the confidence interval).
-    beta : confidence β for the precision assurance.
+    beta : confidence β for the precision assurance, in (0, 1).
     eta : convergence speed η — |D| shrinks to η|D| per iteration (§V-D).
     lam : step length factor λ — the shorter step is λ× the longer (§V-D).
     p1, p2 : data boundary parameters (§IV-A1), boundaries at
-        ``sketch0 ± p1·σ`` and ``sketch0 ± p2·σ``.
+        ``sketch0 ± p1·σ`` and ``sketch0 ± p2·σ``; 0 < p1 < p2 < ∞.
     t_e : relaxed-precision parameter for sketch0 (§III-B); the sketch
-        pilot targets precision ``t_e·e`` so its sample is m/t_e².
+        pilot targets precision ``t_e·e`` so its sample is m/t_e²; finite,
+        above 1.
     thr : iteration threshold — stop when |D| ≤ thr (§V-D); positive and
         finite. The paper gives no default; e/100 makes the residual
         negligible vs e.
@@ -66,16 +67,20 @@ class ISLAConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.e < math.inf:
             raise ValueError(f"e must be positive and finite, got {self.e}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
-        if not 0.0 < self.p1 < self.p2:
+        # An infinite p2 or t_e would give unbounded S/L regions, or a
+        # one-row sketch pilot and no clamp.
+        if not 0.0 < self.p1 < self.p2 < math.inf:
             raise ValueError(
-                f"need 0 < p1 < p2, got p1={self.p1}, p2={self.p2}"
+                f"need 0 < p1 < p2 < inf, got p1={self.p1}, p2={self.p2}"
             )
-        if self.t_e <= 1.0:
-            raise ValueError(f"t_e must exceed 1, got {self.t_e}")
+        if not 1.0 < self.t_e < math.inf:
+            raise ValueError(f"t_e must exceed 1 and be finite, got {self.t_e}")
         # Algorithm 2 stops once |D| ≤ thr (e/100 by default): never for
         # thr < 0, only by underflow for thr = 0, and at once for NaN.
         if self.thr is not None and not 0.0 < self.thr < math.inf:

@@ -12,11 +12,12 @@ record keeps what (counter, sum, squareSum) keeps in centred form,
 ``(n, mean, Σ(v − mean)²)``, so its variance stays exact where
 Σv² − (Σv)²/n cancels (|mean|/σ ≳ 1e7).
 
-Phase 1 (:func:`sample_region_moments`) broadcast-joins a bounds table
-holding each block's fraction and boundaries (so the §VII-C non-iid
-extension uses the same job), tags regions, samples, aggregates per
-(block, region) and keeps S and L: 3 numbers per (block, region), the
-"no sample storage" property. Algorithm 1's cube sum feeds only
+Phase 1 (:func:`sample_region_moments`) tags regions, samples,
+aggregates per (block, region) and keeps S and L: 3 numbers per (block,
+region), the "no sample storage" property. The base algorithm (§IV-A)
+gives every block the same boundaries and fraction, so they go in as
+literals; only the §VII-C non-iid extension broadcast-joins a per-block
+bounds table, built with Arrow. Algorithm 1's cube sum feeds only
 Theorem 3's k, which no answer reads (DESIGN.md §2), so it is left out;
 the second moment stays for a confidence interval from the gathered
 moments.
@@ -30,8 +31,14 @@ from functools import reduce
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, StructField, StructType
 
-from repro.core.boundaries import DataBoundaries, Region, region_column
+from repro.core.boundaries import (
+    DataBoundaries,
+    Region,
+    region_column,
+    region_column_for,
+)
 
 
 @dataclass(frozen=True)
@@ -145,20 +152,26 @@ def _bounds_table(
     fractions: Mapping[object, float],
     bounds_by_block: Mapping[object, DataBoundaries],
 ) -> DataFrame:
-    """One row per block: its sampling fraction and four boundaries."""
-    spark = df.sparkSession
-    rows = [
-        (b, fractions.get(b, 0.0), bd.s_lower, bd.s_upper, bd.l_lower, bd.l_upper)
-        for b, bd in bounds_by_block.items()
-    ]
-    block_type = df.schema[block_col].dataType.simpleString()
-    return spark.createDataFrame(
-        rows,
-        schema=(
-            f"{block_col} {block_type}, __fraction double, __s_lower double,"
-            " __s_upper double, __l_lower double, __l_upper double"
-        ),
+    """One row per block: its key ``__block``, sampling fraction and four
+    boundaries, handed to the JVM as an Arrow table (no Python worker)."""
+    import pyarrow as pa  # only the per-block plan pays for the import
+
+    bds = bounds_by_block.values()
+    table = pa.table(
+        {
+            "__block": list(bounds_by_block),
+            "__fraction": [fractions.get(b, 0.0) for b in bounds_by_block],
+            "__s_lower": [bd.s_lower for bd in bds],
+            "__s_upper": [bd.s_upper for bd in bds],
+            "__l_lower": [bd.l_lower for bd in bds],
+            "__l_upper": [bd.l_upper for bd in bds],
+        }
     )
+    schema = StructType(
+        [StructField("__block", df.schema[block_col].dataType)]
+        + [StructField(c, DoubleType()) for c in table.column_names[1:]]
+    )
+    return df.sparkSession.createDataFrame(table, schema=schema)
 
 
 def sample_region_moments(
@@ -179,29 +192,53 @@ def sample_region_moments(
         the blev-derived rates of §VII-C. A fraction above 1 samples
         every row of its block.
     bounds_by_block : per-block data boundaries; rows of other blocks
-        are not sampled.
+        are drawn in the shared plan but not returned. A null block key
+        is a block like any other.
+
+    Two plans, picked from the inputs. When every block has the same
+    boundaries and fraction (iid mode), the shared plan tags and samples
+    with literals and needs no join. Otherwise (non-iid mode) the
+    per-block plan broadcast-joins :func:`_bounds_table` on the block
+    key, null-safe when a null block is listed. When every row belongs to a listed block, both plans
+    draw the same rows (but over a local relation, which Spark's
+    optimizer samples on the driver as one partition).
 
     Returns a dict with, for every block that produced at least one S or
     L sample, the pair (param_S, param_L); a region with no samples is
     :meth:`RegionMoments.empty`.
     """
-    bounds_df = _bounds_table(df, block_col, fractions, bounds_by_block)
-    tagged = df.join(F.broadcast(bounds_df), on=block_col, how="inner")
-    region = region_column(
-        F.col(value_col).cast("double"),
-        F.col("__s_lower"),
-        F.col("__s_upper"),
-        F.col("__l_lower"),
-        F.col("__l_upper"),
-    )
+    value = F.col(value_col).cast("double")
+    plans = {(bd, fractions.get(b, 0.0)) for b, bd in bounds_by_block.items()}
+    if len(plans) == 1:
+        ((bounds, fraction),) = plans
+        rows, region = df, region_column_for(bounds, value)
+        frac = F.lit(fraction)
+    else:
+        bounds_df = _bounds_table(df, block_col, fractions, bounds_by_block)
+        # A null-safe join hashes two keys, (coalesce(k), isnull(k)), and
+        # took ~290 ms more per query on 4 M rows than k = __block; only
+        # a listed null block needs it.
+        key = F.col(block_col)
+        on = (
+            key.eqNullSafe(F.col("__block"))
+            if None in bounds_by_block
+            else key == F.col("__block")
+        )
+        rows = df.join(F.broadcast(bounds_df), on)
+        region = region_column(
+            value,
+            F.col("__s_lower"),
+            F.col("__s_upper"),
+            F.col("__l_lower"),
+            F.col("__l_upper"),
+        )
+        frac = F.col("__fraction")
     # All five regions are aggregated: filtering to S∪L before sampling
     # would change which rows draw, so TS/N/TL are dropped below.
-    moments = sampled_moments(
-        tagged, value_col, F.col("__fraction"), seed, by=(block_col, region)
-    )
+    moments = sampled_moments(rows, value_col, frac, seed, by=(block_col, region))
     out: BlockMoments = {}
     for (block, reg), m in moments.items():
-        if reg not in (Region.S.value, Region.L.value):
+        if block not in bounds_by_block or reg not in (Region.S.value, Region.L.value):
             continue
         m_s, m_l = out.get(block, (RegionMoments.empty(), RegionMoments.empty()))
         out[block] = (m, m_l) if reg == Region.S.value else (m_s, m)

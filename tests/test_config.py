@@ -96,6 +96,14 @@ class TestISLAConfigValidation:
             {"thr": 0.0},
             {"thr": math.nan},
             {"thr": math.inf},
+            # z_score would raise only inside pre_estimate, after its jobs.
+            {"beta": 0.0},
+            {"beta": 1.0},
+            {"beta": 1.5},
+            {"beta": math.nan},
+            # A one-row sketch pilot and no clamp; unbounded S/L regions.
+            {"t_e": math.inf},
+            {"p2": math.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

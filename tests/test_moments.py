@@ -202,6 +202,78 @@ class TestSparkJob:
         assert got == full
 
 
+def _spark_jobs(spark, group, fn) -> int:
+    """The number of Spark jobs ``fn()`` runs."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestPlans:
+    """Phase 1 runs on literals when every block shares its boundaries
+    and fraction (iid), and joins a per-block bounds table otherwise."""
+
+    SHARED = {j: BOUNDS for j in range(4)}
+    #: Adds different bounds for a block the data does not hold: forces
+    #: the per-block plan without changing any draw.
+    PER_BLOCK = SHARED | {99: DataBoundaries(sketch0=0.0, sigma=1.0)}
+    FRACTIONS = {j: 0.3 for j in range(4)}
+
+    @pytest.fixture(scope="class")
+    def sdf(self, spark):
+        """Values in (75, 125), blocks interleaved over 4 partitions.
+
+        Built on ``spark.range``, not as a local relation: Spark's
+        optimizer evaluates a sampling filter over a local relation on
+        the driver, as one partition, so there the join-free shared plan
+        draws other rows than the per-block plan.
+        """
+        return spark.range(0, 20_000, numPartitions=4).select(
+            (F.col("id") % 4).alias("block"), (100 + 25 * F.sin("id")).alias("v")
+        )
+
+    def _moments(self, sdf, bounds):
+        return sample_region_moments(sdf, "v", "block", self.FRACTIONS, bounds, seed=4)
+
+    def test_plans_agree_bit_for_bit(self, sdf):
+        shared = self._moments(sdf, self.SHARED)
+        assert set(shared) == set(range(4))
+        assert shared == self._moments(sdf, self.PER_BLOCK)
+
+    def test_shared_plan_needs_no_join_job(self, spark, sdf):
+        n_shared = _spark_jobs(spark, "shared", lambda: self._moments(sdf, self.SHARED))
+        n_per_block = _spark_jobs(
+            spark, "per-block", lambda: self._moments(sdf, self.PER_BLOCK)
+        )
+        assert (n_shared, n_per_block) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {None: BOUNDS, 1: BOUNDS, 2: BOUNDS},
+            {None: BOUNDS, 1: DataBoundaries(sketch0=90.0, sigma=25.0), 2: BOUNDS},
+        ],
+        ids=["shared", "per-block"],
+    )
+    def test_null_block_key_is_a_block(self, sdf, bounds):
+        """Rows with a null block key form block ``None``, as
+        ``compute_block_sizes`` and the pilots count them."""
+        nulled = sdf.withColumn(
+            "block", F.when(F.col("block") != 0, F.col("block"))
+        )
+        got = sample_region_moments(
+            nulled, "v", "block", {b: 0.5 for b in bounds}, bounds, seed=4
+        )
+        assert set(got) == {None, 1, 2}
+        m_s, m_l = got[None]
+        assert m_s.n > 0 and m_l.n > 0
+
+
 class TestSampledMoments:
     @pytest.fixture(scope="class")
     def pdf(self):

@@ -9,7 +9,7 @@ paper-shape check. Run one with, for example,
 """
 import pytest
 
-from repro.experiments.__main__ import run
+from repro.experiments import run
 
 
 def check_table3(res):

@@ -10,7 +10,7 @@ band (``iteration.DEV_CASE5``) and the §VIII q′ bands, which feed no answer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 
@@ -98,7 +98,3 @@ class ISLAConfig:
     def sketch_sample_size(self, sigma: float) -> int:
         """Sample size for sketch0 at the relaxed precision t_e·e."""
         return required_sample_size(sigma, self.t_e * self.e, self.beta)
-
-    def with_(self, **kwargs) -> "ISLAConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)

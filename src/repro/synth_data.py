@@ -1,6 +1,6 @@
 """Synthetic OLAP data at a configurable scale factor.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
+SF=1.0 is roughly TPC-H SF1's LINEITEM (6 M rows). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
 """
@@ -10,7 +10,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
 _N_PART_PER_SF = 200_000
 
 
@@ -36,26 +35,6 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
             "l_linestatus": g.choice(list("OF"), n),
             "l_shipdate": pd.to_datetime("1992-01-01")
             + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
         }
     )
     return spark.createDataFrame(pdf)
@@ -97,6 +76,16 @@ def _blocked(spark: SparkSession, n: int, b: int) -> DataFrame:
     return spark.range(n).select(
         (F.col("id") % b).cast("int").alias("block"), F.col("id")
     )
+
+
+def round_robin_sizes(n: int, b: int) -> dict[int, int]:
+    """|B_j| for the ``id % b`` block assignment of :func:`_blocked`.
+
+    Block j holds the ids ≡ j (mod b) in [0, n), i.e. ⌈(n − j)/b⌉ rows.
+    Passing these as metadata mirrors the paper's assumption that M and
+    block sizes come from the catalog, and skips a count job.
+    """
+    return {j: (n - j + b - 1) // b for j in range(b)}
 
 
 def blocked_normal(

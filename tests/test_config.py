@@ -1,6 +1,7 @@
 """Unit tests for repro.core.config (Eq. (1), quantiles)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -115,7 +116,7 @@ class TestISLAConfigValidation:
         assert ISLAConfig(e=0.5, thr=0.01).threshold == 0.01
 
     def test_with_replaces_fields(self):
-        cfg = ISLAConfig().with_(e=0.5, lam=0.6)
+        cfg = replace(ISLAConfig(), e=0.5, lam=0.6)
         assert cfg.e == 0.5 and cfg.lam == 0.6 and cfg.beta == 0.95
 
     def test_sketch_sample_is_m_over_te_squared(self):

@@ -6,7 +6,6 @@ from pyspark.sql import functions as F
 
 from repro.core import ISLAConfig, isla_avg
 from repro.core.isla import summarize
-from repro.experiments.runner import round_robin_sizes
 from repro.oracle import assert_equivalent
 from repro.synth_data import (
     blocked_exponential,
@@ -14,6 +13,7 @@ from repro.synth_data import (
     blocked_normal,
     blocked_normal_pdf,
     blocked_uniform,
+    round_robin_sizes,
 )
 
 N, B = 120_000, 10

@@ -1,5 +1,6 @@
 """Phase-2 modulation tests: cases, step lengths, convergence, clamping."""
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -141,7 +142,7 @@ class TestInteriorMeeting:
     )
     @settings(max_examples=50, deadline=None)
     def test_case3_answer_between_estimators(self, sketch0, lam):
-        cfg = CFG.with_(lam=lam)
+        cfg = replace(CFG, lam=lam)
         m_s, m_l = synthetic_moments(1000, 1150)
         c = sl_mean(m_s, m_l)
         ans = algorithm2(m_s, m_l, sketch0, cfg)

@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders
+from repro.synth_data import lineitem
 
 
 class TestLineitemGroundTruth:
@@ -42,26 +42,6 @@ class TestLineitemGroundTruth:
             FROM li GROUP BY 1
             """,
             li=li,
-        )
-
-    def test_join_shuffle_path_vs_duckdb(self, spark, li):
-        """A shuffle join sanity check at the oracle (broadcast joins
-        are disabled session-wide by conftest)."""
-        o = orders(spark, sf=0.01, seed=1301)
-        spark_df = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.avg("l_extendedprice").alias("avg_price"))
-        )
-        assert_equivalent(
-            spark_df,
-            """
-            SELECT o_orderpriority, AVG(l_extendedprice) AS avg_price
-            FROM li JOIN o ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            """,
-            li=li,
-            o=o,
         )
 
 

@@ -9,9 +9,8 @@ from repro.core.pre_estimation import (
     compute_block_sizes,
     pre_estimate,
 )
-from repro.experiments.runner import round_robin_sizes
 from repro.oracle import assert_equivalent
-from repro.synth_data import blocked_normal_pdf
+from repro.synth_data import blocked_normal_pdf, round_robin_sizes
 
 CFG = ISLAConfig(e=0.5)  # keeps the test-scale rate < 1
 

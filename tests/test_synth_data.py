@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.experiments.runner import round_robin_sizes
 from repro.synth_data import (
     blocked_exponential,
     blocked_noniid_normal,
@@ -13,7 +12,7 @@ from repro.synth_data import (
     blocked_uniform,
     blocked_uniform_pdf,
     lineitem,
-    orders,
+    round_robin_sizes,
     salary_like,
     tlc_like,
 )
@@ -140,7 +139,3 @@ class TestProvidedTPCH:
         df = lineitem(spark, sf=0.001)
         assert "l_extendedprice" in df.columns
         assert df.count() == 6_000
-
-    @pytest.mark.parametrize("gen,n", [(orders, 1_500)])
-    def test_other_tables(self, spark, gen, n):
-        assert gen(spark, sf=0.001).count() == n

@@ -126,23 +126,28 @@ def sampled_moments(
 
     The sample is the rows where ``row_uniform(seed) < fraction``; a
     column ``fraction`` gives each row its own rate (a rate above 1
-    keeps every row). Returns ``{key tuple: RegionMoments}`` with one
-    entry per group of ``by`` that has a sampled row; ``by=()`` gives
-    the single key ``()``, present even for an empty sample.
+    keeps every row), and a float fraction of 1.0 reads every row with
+    no filter. Returns ``{key tuple: RegionMoments}`` with one entry
+    per group of ``by`` that has a sampled row; ``by=()`` gives the
+    single key ``()``, present even for an empty sample. The groups
+    come back as one Arrow table, read column by column: on thousands
+    of groups that is cheaper than building a ``Row`` per group.
     """
     if not isinstance(fraction, Column) and not 0.0 < fraction <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {fraction}")
     v = F.col(value_col).cast("double")
-    rows = (
-        df.where(row_uniform(seed) < fraction)
-        .groupBy(*by)
+    if isinstance(fraction, Column) or fraction < 1.0:
+        df = df.where(row_uniform(seed) < fraction)
+    table = (
+        df.groupBy(*by)
         .agg(F.count(v).alias("n"), F.avg(v).alias("mean"), F.var_pop(v).alias("var"))
-        .collect()
+        .toArrow()
     )
-    k = len(by)
+    cols = [c.to_pylist() for c in table.columns]
+    keys = zip(*cols[: len(by)]) if by else [()] * table.num_rows
     return {
-        tuple(r[:k]): RegionMoments(int(r.n), r.mean or 0.0, (r.var or 0.0) * r.n)
-        for r in rows
+        key: RegionMoments(n, mean or 0.0, (var or 0.0) * n)
+        for key, n, mean, var in zip(keys, *cols[len(by):])
     }
 
 

@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.baselines.measure_biased import mv_block_avgs, mvb_block_avgs
 from repro.core import DataBoundaries, ISLAConfig, ISLAResult, isla_avg, z_score
-from repro.core.pre_estimation import PreEstimate, compute_block_sizes, pre_estimate
+from repro.core.pre_estimation import PreEstimate, pre_estimate
 from repro.synth_data import (
     blocked_exponential,
     blocked_noniid_normal,
@@ -416,8 +416,8 @@ def run_efficiency(
     )
     with cached(data) as df:
         df.count()  # materialise the cache before timing
-        sizes = compute_block_sizes(df, "block")
-        pre = pre_estimate(df, "v", "block", cfg, block_sizes=sizes, seed=seed)
+        pre = pre_estimate(df, "v", "block", cfg, seed=seed)
+        sizes = pre.block_sizes
         methods = {
             "ISLA": lambda s: isla_avg(
                 df, "v", "block", cfg, pre=pre, seed=s

@@ -7,6 +7,7 @@ DuckDB oracle sees identical input.
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -18,26 +19,37 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+    """TPC-H-lite LINEITEM, generated on the executors from ``spark.range``.
+
+    Each column draws from its own hashed seed (:func:`_mix`), so no
+    column correlates with another or with the sampler.
+    """
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
+    u = [F.rand(_mix(seed + k)) for k in range(10)]
+
+    def integers(k: int, lo: int, hi: int):
+        """Uniform integers in [lo, hi] from draw k."""
+        return (F.floor(u[k] * (hi - lo + 1)) + lo).cast("long")
+
+    def choice(k: int, values: str):
+        return F.element_at(F.array(*map(F.lit, values)), integers(k, 1, len(values)).cast("int"))
+
+    return spark.range(n).select(
+        integers(0, 1, n_orders).alias("l_orderkey"),
+        integers(1, 1, n_part).alias("l_partkey"),
+        integers(2, 1, 7).alias("l_linenumber"),
+        integers(3, 1, 50).cast("double").alias("l_quantity"),
+        F.round(u[4] * 90000 + 900, 2).alias("l_extendedprice"),
+        F.round(u[5] * 0.1, 2).alias("l_discount"),
+        F.round(u[6] * 0.08, 2).alias("l_tax"),
+        choice(7, "NRA").alias("l_returnflag"),
+        choice(8, "OF").alias("l_linestatus"),
+        F.date_add(F.lit("1992-01-01").cast("date"), integers(9, 0, 2556).cast("int"))
+        .cast("timestamp")
+        .alias("l_shipdate"),
     )
-    return spark.createDataFrame(pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +64,6 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
 # rows without driver materialisation; `*_pdf` pandas variants generate
 # the identical-schema small data the DuckDB oracle tests need.
 # ---------------------------------------------------------------------------
-
-from pyspark.sql import functions as F  # noqa: E402
 
 
 def _mix(seed: int) -> int:

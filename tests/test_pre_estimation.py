@@ -40,17 +40,31 @@ def pre(normal_sdf):
     )
 
 
+@pytest.fixture(scope="module")
+def nulled_sdf(spark):
+    """Values in (75, 125) over 5 blocks of ``spark.range`` (not a local
+    relation, whose sampling filter Spark evaluates on the driver); every
+    7th value is null, and so is all of block 4."""
+    i = F.col("id")
+    v = F.when((i % 7 != 0) & (i % 5 != 4), 100 + 25 * F.sin(i))
+    return spark.range(0, 40_000, numPartitions=4).select(
+        (i % 5).cast("int").alias("block"), v.alias("v")
+    )
+
+
 class TestBlockSizes:
     def test_compute_block_sizes_matches_metadata(self, normal_sdf):
         got = compute_block_sizes(normal_sdf, "v", "block").sizes
         assert got == round_robin_sizes(60_000, 6)
 
-    def test_block_sizes_vs_duckdb_oracle(self, spark, normal_sdf):
-        pdf = normal_sdf.toPandas()
-        counts = normal_sdf.groupBy("block").agg(F.count("*").alias("cnt"))
+    def test_block_sizes_vs_duckdb_oracle(self, spark, nulled_sdf):
+        """|B_j| counts values, not rows: COUNT(v), 0 for an all-null block."""
+        sizes = compute_block_sizes(nulled_sdf, "v", "block", seed=3).sizes
+        assert sizes[4] == 0
+        got = spark.createDataFrame(list(sizes.items()), "block int, cnt long")
         assert_equivalent(
-            counts, "SELECT block, COUNT(*) AS cnt FROM data GROUP BY block",
-            data=pdf,
+            got, "SELECT block, COUNT(v) AS cnt FROM data GROUP BY block",
+            data=nulled_sdf,
         )
 
 
@@ -122,18 +136,6 @@ class TestErrors:
             pre_estimate(normal_sdf, "v", "block", CFG, block_sizes={})
 
 
-@pytest.fixture(scope="module")
-def nulled_sdf(spark):
-    """Values in (75, 125) over 5 blocks of ``spark.range`` (not a local
-    relation, whose sampling filter Spark evaluates on the driver); every
-    7th value is null, and so is all of block 4."""
-    i = F.col("id")
-    v = F.when((i % 7 != 0) & (i % 5 != 4), 100 + 25 * F.sin(i))
-    return spark.range(0, 40_000, numPartitions=4).select(
-        (i % 5).cast("int").alias("block"), v.alias("v")
-    )
-
-
 class TestScan:
     """Block counts, σ-pilot and sketch pilot come from one aggregate by
     (block, octave of the row's uniform)."""
@@ -145,16 +147,6 @@ class TestScan:
             spark, "pre-estimate", lambda: pre_estimate(nulled_sdf, "v", "block", CFG)
         )
         assert n == 2
-
-    def test_block_counts_vs_duckdb_oracle(self, spark, nulled_sdf):
-        """|B_j| counts values, not rows: COUNT(v), 0 for an all-null block."""
-        sizes = compute_block_sizes(nulled_sdf, "v", "block", seed=3).sizes
-        assert sizes[4] == 0
-        got = spark.createDataFrame(list(sizes.items()), "block int, cnt long")
-        assert_equivalent(
-            got, "SELECT block, COUNT(v) AS cnt FROM data GROUP BY block",
-            data=nulled_sdf,
-        )
 
     def test_sigma_pilot_is_the_sample_at_its_octave(self, nulled_sdf):
         """The octaves ≥ j_p hold exactly the rows ``sampled_moments``

@@ -3,12 +3,15 @@ Aggregation" (ISLA), ICDE 2019.
 
 Public surface:
 
-* :mod:`repro.core` — the ISLA system (pre-estimation, leverage strategy,
+* :mod:`repro.core` — the ISLA system (pre-estimation, S/L moments,
   iterative modulation, summarisation).
 * :mod:`repro.baselines` — US / STS / MV / MVB comparators.
 * :mod:`repro.experiments` — one runner per evaluation table.
 * :mod:`repro.synth_data` — deterministic synthetic data generators.
-* :mod:`repro.oracle` — DuckDB result-equality checker.
+
+The DuckDB checker and the paper-fidelity references (leverages,
+Theorem 3) are test code: ``tests/oracle.py`` and
+``tests/paper_reference.py``.
 """
 
 __version__ = "0.1.0"

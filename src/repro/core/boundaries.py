@@ -9,11 +9,10 @@ parameters p1 < p2 (defaults 0.5 / 2.0):
 * L : (sketch0 + p1σ, sketch0 + p2σ) — large data, participates
 * TL: [sketch0 + p2σ, +∞)          — "too large" outliers, discarded
 
-Both a plain-Python classifier (driver-side math, tests) and a Spark
-``Column`` classifier (Algorithm 1's distributed tagging) are provided.
-The Spark variant takes the bound *columns*: literals when every block
-shares one set of boundaries (the base algorithm, and MV/MVB), columns of
-a broadcast-joined bounds table for per-block boundaries (§VII-C non-iid
+The classifier is a Spark ``Column`` (Algorithm 1's distributed
+tagging) over the bound *columns*: literals when every block shares one
+set of boundaries (the base algorithm, and MV/MVB), columns of a
+broadcast-joined bounds table for per-block boundaries (§VII-C non-iid
 extension).
 """
 from __future__ import annotations
@@ -71,18 +70,6 @@ class DataBoundaries:
     def l_upper(self) -> float:
         """Upper edge of L = lower edge of TL: sketch0 + p2σ."""
         return self.sketch0 + self.p2 * self.sigma
-
-    def classify(self, x: float) -> Region:
-        """Region of a single value (driver-side; mirrors Fig. 3)."""
-        if x <= self.s_lower:
-            return Region.TS
-        if x < self.s_upper:
-            return Region.S
-        if x <= self.l_lower:
-            return Region.N
-        if x < self.l_upper:
-            return Region.L
-        return Region.TL
 
 
 def region_column(

@@ -3,9 +3,9 @@
 Defaults follow §VIII "Parameters" where the paper gives values
 (e=0.1, β=0.95, λ=0.8, p1=0.5, p2=2.0, η=0.5) and DESIGN.md §2 where it
 does not (t_e, thr). Values no caller tunes are constants beside the code
-that reads them: the σ-pilot size (``pre_estimation.PILOT_N``), the Case-5
-band (``iteration.DEV_CASE5``) and the §VIII q′ bands, which feed no answer
-(``leverage.DEV_Q1``/``DEV_Q5``).
+that reads them: the σ-pilot size (``pre_estimation.PILOT_N``) and the
+Case-5 band (``iteration.DEV_CASE5``). The §VIII q′ bands feed no answer;
+they live with the paper-fidelity references in ``tests/paper_reference.py``.
 """
 from __future__ import annotations
 

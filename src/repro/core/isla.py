@@ -42,7 +42,6 @@ class ISLAResult:
     """Final answer plus full diagnostics of one ISLA run."""
 
     answer: float
-    sketch0: float
     pre: PreEstimate = field(repr=False)
     blocks: dict = field(repr=False)  # {block: BlockAnswer}
     rate_used: float
@@ -132,7 +131,6 @@ def isla_avg(
     answer = summarize({b: a.partial for b, a in blocks.items()}, pre.block_sizes)
     return ISLAResult(
         answer=answer,
-        sketch0=pre.sketch0,
         pre=pre,
         blocks=blocks,
         rate_used=pre.rate * rate_factor,

@@ -21,8 +21,8 @@ Per block, given param_S/param_L and sketch0:
    interval ``sketch0 ± t_e·e`` — the modulation boundary of §VII-B.
 
 The answer never reads Theorem 3's k, the leverage allocating parameter
-q or α; those stay in :mod:`repro.core.leverage` as paper-fidelity
-diagnostics. The literal §V-C Case-3 reading, which DESIGN.md §2 rejects,
+q or α; those stay in ``tests/paper_reference.py`` as paper-fidelity
+references. The literal §V-C Case-3 reading, which DESIGN.md §2 rejects,
 is kept only as a test reference.
 """
 from __future__ import annotations

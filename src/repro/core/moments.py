@@ -25,9 +25,8 @@ moments.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -60,11 +59,6 @@ class RegionMoments:
     def empty() -> "RegionMoments":
         return RegionMoments(0, 0.0, 0.0)
 
-    @staticmethod
-    def from_values(values: Iterable[float]) -> "RegionMoments":
-        """Driver-side accumulation (the updateParams loop of Alg. 1)."""
-        return reduce(RegionMoments.add, values, RegionMoments.empty())
-
     def merge(self, other: "RegionMoments") -> "RegionMoments":
         """Combine two partial records (online-mode extension, §VII-A)
         by Chan's rule; an empty side returns the other unchanged."""
@@ -79,10 +73,6 @@ class RegionMoments:
             self.mean + delta * other.n / n,
             self.m2 + other.m2 + delta * delta * self.n * other.n / n,
         )
-
-    def add(self, a: float) -> "RegionMoments":
-        """updateParams(a, param): streaming single-sample update."""
-        return self.merge(RegionMoments(1, a, 0.0))
 
     @property
     def s1(self) -> float:

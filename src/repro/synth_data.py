@@ -1,21 +1,14 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1's LINEITEM (6 M rows). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+benchmarks use SF~=0.1. Generators are deterministic in ``seed``.
 """
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
 _N_PART_PER_SF = 200_000
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
@@ -61,8 +54,7 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
 # shape-matched synthetic equivalents (§VIII-G; see DESIGN.md §3).
 #
 # Spark-native generators (`spark.range` + rand/randn) scale to 10^7+
-# rows without driver materialisation; `*_pdf` pandas variants generate
-# the identical-schema small data the DuckDB oracle tests need.
+# rows, all generated on the executors.
 # ---------------------------------------------------------------------------
 
 
@@ -194,25 +186,3 @@ def tlc_like(
         .otherwise(g4)
     )
     return base.select("block", F.greatest(v, F.lit(1.0)).alias("v"))
-
-
-def blocked_normal_pdf(
-    *, n: int, b: int = 10, mu: float = 100.0, sigma: float = 20.0,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """pandas twin of :func:`blocked_normal` for oracle-diffed tests."""
-    g = _rng(seed)
-    return pd.DataFrame(
-        {"block": (np.arange(n) % b).astype("int32"), "v": mu + sigma * g.standard_normal(n)}
-    )
-
-
-def blocked_uniform_pdf(
-    *, n: int, b: int = 10, lo: float = 1.0, hi: float = 199.0, seed: int = 0
-) -> pd.DataFrame:
-    """pandas twin of :func:`blocked_uniform`."""
-    g = _rng(seed)
-    return pd.DataFrame(
-        {"block": (np.arange(n) % b).astype("int32"), "v": g.uniform(lo, hi, n)}
-    )
-

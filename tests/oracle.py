@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle, and the pandas data it is fed.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
@@ -10,8 +10,14 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+
+``blocked_normal_pdf``/``blocked_uniform_pdf`` build the small pandas
+frames that both sides read: the same ``block``/``v`` schema and block
+layout as the Spark generators in :mod:`repro.synth_data`, drawn with
+numpy so the input is identical on the Spark and the DuckDB side.
 """
 import duckdb
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -40,4 +46,30 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     )
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
+    )
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
+
+
+def blocked_normal_pdf(
+    *, n: int, b: int = 10, mu: float = 100.0, sigma: float = 20.0,
+    seed: int = 0,
+) -> pd.DataFrame:
+    """pandas twin of :func:`repro.synth_data.blocked_normal` for
+    oracle-diffed tests."""
+    g = _rng(seed)
+    return pd.DataFrame(
+        {"block": (np.arange(n) % b).astype("int32"), "v": mu + sigma * g.standard_normal(n)}
+    )
+
+
+def blocked_uniform_pdf(
+    *, n: int, b: int = 10, lo: float = 1.0, hi: float = 199.0, seed: int = 0
+) -> pd.DataFrame:
+    """pandas twin of :func:`repro.synth_data.blocked_uniform`."""
+    g = _rng(seed)
+    return pd.DataFrame(
+        {"block": (np.arange(n) % b).astype("int32"), "v": g.uniform(lo, hi, n)}
     )

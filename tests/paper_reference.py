@@ -1,26 +1,33 @@
-"""Leverages, re-weighted probabilities, and Theorem 3 (§IV, appendix A).
+"""Paper-fidelity references that no ISLA answer reads; tests compare
+against them.
 
-This is the paper-fidelity path; no ISLA answer reads it. Phase 2's
-block answer depends only on Theorem 3's ``c`` (the uniform S∪L mean),
-so :mod:`repro.core.iteration` computes that directly (DESIGN.md §2).
-Two equivalent computation paths are provided:
+* Leverages, re-weighted probabilities and Theorem 3 (§IV, appendix A).
+  Phase 2's block answer depends only on Theorem 3's ``c`` (the uniform
+  S∪L mean), so :mod:`repro.core.iteration` computes that directly
+  (DESIGN.md §2). Two equivalent computation paths are kept:
 
-* an *explicit* per-sample path (original leverages → normalisation
-  factors → normalised leverages → probabilities → l-estimator) — it
-  reproduces the paper's Table II worked example exactly — with the
-  §VIII q′ bands that choose the leverage allocating parameter q; and
-* the *streaming-moments* path of Theorem 3, which computes the affine
-  coefficients ``μ̂ = f(α) = kα + c`` purely from
-  ``(count, Σx, Σx², Σx³)`` of the S and L samples: no sample storage,
-  order-insensitive.
+  * an *explicit* per-sample path (original leverages → normalisation
+    factors → normalised leverages → probabilities → l-estimator) — it
+    reproduces the paper's Table II worked example exactly — with the
+    §VIII q′ bands that choose the leverage allocating parameter q; and
+  * the *streaming-moments* path of Theorem 3, which computes the affine
+    coefficients ``μ̂ = f(α) = kα + c`` purely from
+    ``(count, Σx, Σx², Σx³)`` of the S and L samples: no sample storage,
+    order-insensitive.
 
-Notation: X = S samples (size u), Y = L samples (size v),
-T = Σx² + Σy², q = leverage allocating parameter.
+  Notation: X = S samples (size u), Y = L samples (size v),
+  T = Σx² + Σy², q = leverage allocating parameter.
+* :func:`classify` — the plain-Python region of one value (Fig. 3),
+  which the Spark ``region_column`` is tested against.
+* :func:`moments_of` — the updateParams loop of Algorithm 1 over raw
+  values, as a fold of one-value :meth:`RegionMoments.merge` calls.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from functools import reduce
 
+from repro.core.boundaries import DataBoundaries, Region
 from repro.core.moments import RegionMoments
 
 #: §VIII "Parameters": q′ = 1 for dev = |S|/|L| inside DEV_Q1 (no obvious
@@ -178,3 +185,24 @@ def theorem3_kc(
     term_y = (v * sy3) / ((q * u + v) * sy2)
     k = term_x + term_y - c
     return k, c
+
+
+def classify(bounds: DataBoundaries, x: float) -> Region:
+    """Region of a single value under ``bounds`` (mirrors Fig. 3)."""
+    if x <= bounds.s_lower:
+        return Region.TS
+    if x < bounds.s_upper:
+        return Region.S
+    if x <= bounds.l_lower:
+        return Region.N
+    if x < bounds.l_upper:
+        return Region.L
+    return Region.TL
+
+
+def moments_of(values: Iterable[float]) -> RegionMoments:
+    """The moments record of ``values``: updateParams (Alg. 1) applied
+    one value at a time."""
+    return reduce(
+        lambda m, a: m.merge(RegionMoments(1, a, 0.0)), values, RegionMoments.empty()
+    )

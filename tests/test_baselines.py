@@ -5,8 +5,8 @@ from pyspark.sql import functions as F
 from repro.baselines import mv_avg, mvb_avg, stratified_avg, uniform_avg
 from repro.baselines.measure_biased import mv_block_avgs, mvb_block_avgs
 from repro.core.boundaries import DataBoundaries
-from repro.oracle import assert_equivalent
-from repro.synth_data import blocked_normal_pdf, blocked_uniform_pdf, round_robin_sizes
+from repro.synth_data import round_robin_sizes
+from tests.oracle import assert_equivalent, blocked_normal_pdf, blocked_uniform_pdf
 
 BOUNDS = DataBoundaries(sketch0=100.0, sigma=20.0)
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.boundaries import DataBoundaries, Region, region_column_for
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent, blocked_normal_pdf
+from tests.paper_reference import classify
 
 # The paper's Example 1 (§IV-B): sketch0=6.2, p1σ=1, p2σ=3 →
 # S=(3.2, 5.2), L=(7.2, 9.2).
@@ -56,7 +57,7 @@ class TestClassify:
         ],
     )
     def test_paper_example1(self, x, region):
-        assert EX1.classify(x) == region
+        assert classify(EX1, x) == region
 
     @pytest.mark.parametrize(
         "x,region",
@@ -75,11 +76,11 @@ class TestClassify:
         ],
     )
     def test_default_edge_conventions(self, x, region):
-        assert DEFAULT.classify(x) == region
+        assert classify(DEFAULT, x) == region
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_every_value_gets_exactly_one_region(self, x):
-        assert DEFAULT.classify(x) in set(Region)
+        assert classify(DEFAULT, x) in set(Region)
 
 
 class TestSparkClassifier:
@@ -97,11 +98,9 @@ class TestSparkClassifier:
             .sort_values("v")
         )
         for _, row in got.iterrows():
-            assert row["region"] == DEFAULT.classify(row["v"]).value
+            assert row["region"] == classify(DEFAULT, row["v"]).value
 
     def test_region_counts_vs_duckdb_oracle(self, spark):
-        from repro.synth_data import blocked_normal_pdf
-
         pdf = blocked_normal_pdf(n=20_000, b=4, seed=11)
         sdf = spark.createDataFrame(pdf)
         counts = (
@@ -124,8 +123,6 @@ class TestSparkClassifier:
 
     def test_symmetric_regions_roughly_balanced_on_normal(self, spark):
         # With sketch0 = μ the S and L regions are symmetric → |S| ≈ |L|.
-        from repro.synth_data import blocked_normal_pdf
-
         pdf = blocked_normal_pdf(n=50_000, b=5, seed=3)
         sdf = spark.createDataFrame(pdf)
         counts = dict(

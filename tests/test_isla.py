@@ -4,17 +4,17 @@ import math
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines import stratified_avg, uniform_avg
 from repro.core import ISLAConfig, isla_avg
 from repro.core.isla import summarize
-from repro.oracle import assert_equivalent
 from repro.synth_data import (
     blocked_exponential,
     blocked_noniid_normal,
     blocked_normal,
-    blocked_normal_pdf,
     blocked_uniform,
     round_robin_sizes,
 )
+from tests.oracle import assert_equivalent, blocked_normal_pdf
 
 N, B = 120_000, 10
 CFG = ISLAConfig(e=0.5)
@@ -246,6 +246,42 @@ class TestNulls:
         finally:
             df.unpersist()
 
+
+
+class TestEmptyInput:
+    """No non-null value to average, in an empty frame or an all-null
+    column: ISLA and the sampled baselines raise, they do not answer."""
+
+    ROWS = {"empty_frame": 0, "all_null_column": 1_000}
+    METHODS = {
+        "isla": (lambda df: isla_avg(df, "v", "block", CFG), "input has no blocks"),
+        "isla_non_iid": (
+            lambda df: isla_avg(df, "v", "block", CFG, non_iid=True),
+            "input has no blocks",
+        ),
+        "isla_block_sizes": (
+            lambda df: isla_avg(df, "v", "block", CFG, block_sizes={0: 500, 1: 500}),
+            "pilot sample is empty",
+        ),
+        "uniform": (
+            lambda df: uniform_avg(df, "v", 0.5),
+            "uniform sample was empty — rate too small",
+        ),
+        "stratified": (
+            lambda df: stratified_avg(df, "v", "block", 0.5, {0: 500, 1: 500}),
+            "stratified sample was empty — rate too small",
+        ),
+    }
+
+    @pytest.mark.parametrize("rows", list(ROWS))
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_no_value_is_an_error(self, spark, method, rows):
+        df = spark.range(self.ROWS[rows]).select(
+            (F.col("id") % 2).alias("block"), F.lit(None).cast("double").alias("v")
+        )
+        run, message = self.METHODS[method]
+        with pytest.raises(ValueError, match=message):
+            run(df)
 
 
 class TestConstantColumn:

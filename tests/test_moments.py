@@ -6,7 +6,7 @@ moments are oracle-diffed against DuckDB computing the same CASE +
 GROUP BY aggregation over identical data.
 """
 import ast
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +17,19 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 import repro
-from repro.core.boundaries import DataBoundaries, Region
+from repro.core.boundaries import DataBoundaries
 from repro.core.config import ISLAConfig
 from repro.core.moments import RegionMoments, sample_region_moments, sampled_moments
 from repro.core.pre_estimation import pre_estimate
-from repro.oracle import assert_equivalent
-from repro.synth_data import blocked_normal_pdf
+from tests.oracle import assert_equivalent, blocked_normal_pdf
+from tests.paper_reference import moments_of
 
 BOUNDS = DataBoundaries(sketch0=100.0, sigma=20.0)  # S=(60,90), L=(110,140)
 
 
 class TestRegionMoments:
     def test_from_values(self):
-        m = RegionMoments.from_values([1.0, 2.0, 3.0])
+        m = moments_of([1.0, 2.0, 3.0])
         assert m.n == 3
         assert m.s1 == 6.0
         assert m.s2 == 14.0
@@ -42,8 +42,8 @@ class TestRegionMoments:
     def test_add_matches_from_values(self):
         m = RegionMoments.empty()
         for a in [2.0, 5.0, 7.0]:
-            m = m.add(a)
-        assert m == RegionMoments.from_values([2.0, 5.0, 7.0])
+            m = m.merge(RegionMoments(1, a, 0.0))
+        assert m == moments_of([2.0, 5.0, 7.0])
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), max_size=20),
@@ -53,24 +53,24 @@ class TestRegionMoments:
     def test_merge_is_concatenation(self, a, b):
         """The online-mode extension (§VII-A): merging two rounds of
         param records equals one pass over the union."""
-        merged = RegionMoments.from_values(a).merge(RegionMoments.from_values(b))
-        whole = RegionMoments.from_values(a + b)
+        merged = moments_of(a).merge(moments_of(b))
+        whole = moments_of(a + b)
         assert merged.n == whole.n
         assert merged.s1 == pytest.approx(whole.s1, rel=1e-9, abs=1e-9)
         assert merged.s2 == pytest.approx(whole.s2, rel=1e-9, abs=1e-9)
 
     def test_mean(self):
-        assert RegionMoments.from_values([2.0, 4.0]).mean == 3.0
+        assert moments_of([2.0, 4.0]).mean == 3.0
 
     def test_std(self):
-        assert RegionMoments.from_values([2.0, 4.0, 9.0]).std == pytest.approx(
+        assert moments_of([2.0, 4.0, 9.0]).std == pytest.approx(
             np.std([2.0, 4.0, 9.0], ddof=1), rel=1e-12
         )
-        assert RegionMoments.from_values([5.0]).std == 0.0
+        assert moments_of([5.0]).std == 0.0
         assert RegionMoments.empty().std == 0.0
 
     def test_merge_with_empty_is_exact(self):
-        m = RegionMoments.from_values([0.1, 0.7, 1e9])
+        m = moments_of([0.1, 0.7, 1e9])
         assert m.merge(RegionMoments.empty()) == m
         assert RegionMoments.empty().merge(m) == m
 
@@ -78,8 +78,8 @@ class TestRegionMoments:
         """Centred moments keep the variance where Σv² − (Σv)²/n cancels
         (|mean|/σ ≈ 1e9 here): merged halves give numpy's sample std."""
         vals = 1e9 + np.random.default_rng(0).standard_normal(2_000)
-        merged = RegionMoments.from_values(vals[:1_000]).merge(
-            RegionMoments.from_values(vals[1_000:])
+        merged = moments_of(vals[:1_000]).merge(
+            moments_of(vals[1_000:])
         )
         assert merged.n == 2_000
         assert merged.std == pytest.approx(np.std(vals, ddof=1), rel=1e-6)
@@ -105,8 +105,8 @@ class TestSparkJob:
             vals = pdf.loc[pdf["block"] == j, "v"]
             s_vals = vals[(vals > BOUNDS.s_lower) & (vals < BOUNDS.s_upper)]
             l_vals = vals[(vals > BOUNDS.l_lower) & (vals < BOUNDS.l_upper)]
-            want_s = RegionMoments.from_values(s_vals.tolist())
-            want_l = RegionMoments.from_values(l_vals.tolist())
+            want_s = moments_of(s_vals.tolist())
+            want_l = moments_of(l_vals.tolist())
             m_s, m_l = got[j]
             assert m_s.n == want_s.n and m_l.n == want_l.n
             assert m_s.s1 == pytest.approx(want_s.s1, rel=1e-9)
@@ -284,7 +284,7 @@ class TestSampledMoments:
         return spark.createDataFrame(pdf)
 
     def test_full_rate_is_every_value(self, sdf, pdf):
-        want = RegionMoments.from_values(pdf["v"].tolist())
+        want = moments_of(pdf["v"].tolist())
         got = sampled_moments(sdf, "v", 1.0, seed=3)[()]
         assert got.n == want.n
         assert got.s1 == pytest.approx(want.s1, rel=1e-9)
@@ -371,8 +371,8 @@ def _is_aggregate(name: str) -> bool:
 def test_sampled_moments_is_the_only_aggregate():
     """Every sampled estimator reads the one moments record: no
     ``pyspark.sql.functions`` aggregate is called in ``core`` or
-    ``baselines`` outside ``sampled_moments``. A grouped ``.count()``,
-    as the block-size job uses, is not a ``functions`` call."""
+    ``baselines`` outside ``sampled_moments``, which the block-size scan
+    uses too."""
     pkg = Path(repro.__file__).parent
     inside, outside = [], []
     for path in sorted([*pkg.glob("core/*.py"), *pkg.glob("baselines/*.py")]):
@@ -402,3 +402,29 @@ def test_sampled_moments_is_the_only_aggregate():
                 (inside if node.lineno in allowed else outside).append(where)
     assert outside == []
     assert {w.split(":")[0] for w in inside} == {"core/moments.py"}
+
+
+PACKAGE_IMPORTS = {"pyspark", "pyarrow", "repro"}
+
+
+def test_package_imports_only_what_a_query_needs():
+    """Every ``import``/``from … import`` under ``repro`` names the
+    standard library, pyspark, pyarrow or ``repro`` itself: test-only
+    code (the DuckDB oracle, the pandas twins, the paper references)
+    lives in ``tests/``, with its duckdb/pandas/numpy imports."""
+    pkg = Path(repro.__file__).parent
+    foreign = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.relative_to(pkg)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | PACKAGE_IMPORTS
+            ]
+    assert foreign == []

@@ -4,8 +4,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem
+from tests.oracle import assert_equivalent
 
 
 class TestLineitemGroundTruth:

@@ -19,8 +19,8 @@ from repro.core.pre_estimation import (
     sigma_pilot_octaves,
     sketch_pilot_octaves,
 )
-from repro.oracle import assert_equivalent
-from repro.synth_data import blocked_normal_pdf, round_robin_sizes
+from repro.synth_data import round_robin_sizes
+from tests.oracle import assert_equivalent, blocked_normal_pdf
 from tests.test_moments import _spark_jobs
 
 CFG = ISLAConfig(e=0.5)  # keeps the test-scale rate < 1

@@ -8,14 +8,13 @@ from repro.synth_data import (
     blocked_exponential,
     blocked_noniid_normal,
     blocked_normal,
-    blocked_normal_pdf,
     blocked_uniform,
-    blocked_uniform_pdf,
     lineitem,
     round_robin_sizes,
     salary_like,
     tlc_like,
 )
+from tests.oracle import blocked_normal_pdf, blocked_uniform_pdf
 
 
 class TestRoundRobinSizes:
